@@ -31,9 +31,10 @@
 use gdlog_bench::workloads::{chase_workload_suite, Reground};
 use gdlog_bench::workloads::{network_database, Topology};
 use gdlog_core::{
-    enumerate_outcomes, enumerate_outcomes_with, network_resilience_program, ChaseBudget,
-    ChaseResult, Executor, Grounder, MonteCarlo, Pipeline, TriggerOrder, THREADS_ENV,
+    enumerate_outcomes, enumerate_outcomes_in, network_resilience_program, ChaseBudget,
+    ChaseResult, Ctx, Executor, Grounder, MonteCarlo, Pipeline, TriggerOrder, THREADS_ENV,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 struct Row {
@@ -97,13 +98,7 @@ fn assert_identical(a: &ChaseResult, b: &ChaseResult, name: &str, what: &str) {
     }
 }
 
-fn measure(
-    name: &str,
-    grounder: &dyn Grounder,
-    stratified: bool,
-    reps: usize,
-    executor: &Executor,
-) -> Row {
+fn measure(name: &str, grounder: &dyn Grounder, stratified: bool, reps: usize, par: &Ctx) -> Row {
     let budget = ChaseBudget::default();
     let baseline = Reground(grounder);
 
@@ -116,7 +111,7 @@ fn measure(
     let reground = enumerate_outcomes(&baseline, &budget, TriggerOrder::First)
         .expect("reground enumeration succeeds");
     assert_identical(&incremental, &reground, name, "regrounding");
-    let parallel = enumerate_outcomes_with(grounder, &budget, TriggerOrder::First, executor)
+    let parallel = enumerate_outcomes_in(grounder, &budget, TriggerOrder::First, par)
         .expect("parallel enumeration succeeds");
     assert_identical(&incremental, &parallel, name, "parallel exploration");
 
@@ -133,7 +128,7 @@ fn measure(
             .len()
     });
     let par_ms = time_min_ms(reps, || {
-        enumerate_outcomes_with(grounder, &budget, TriggerOrder::First, executor)
+        enumerate_outcomes_in(grounder, &budget, TriggerOrder::First, par)
             .unwrap()
             .outcomes
             .len()
@@ -157,13 +152,13 @@ fn measure(
     );
     assert_eq!(
         mc_base.estimate.mean,
-        estimate(grounder, Some(executor)).estimate.mean,
+        estimate(grounder, Some(&par.executor)).estimate.mean,
         "{name}: parallel sampling changed the Monte-Carlo estimate"
     );
 
     let mc_incremental_ms = time_min_ms(reps, || estimate(grounder, None).samples);
     let mc_reground_ms = time_min_ms(reps, || estimate(&baseline, None).samples);
-    let mc_par_ms = time_min_ms(reps, || estimate(grounder, Some(executor)).samples);
+    let mc_par_ms = time_min_ms(reps, || estimate(grounder, Some(&par.executor)).samples);
 
     let row = Row {
         name: name.to_owned(),
@@ -214,15 +209,15 @@ fn main() {
         })
         .unwrap_or(4);
     let reps = if full { 5 } else { 3 };
-    let executor = Executor::new(threads);
-    let threads = executor.threads();
+    let par = Ctx::new(Arc::new(Executor::new(threads)));
+    let threads = par.executor.threads();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
     let rows: Vec<Row> = chase_workload_suite(full)
         .iter()
-        .map(|w| measure(&w.name, w.grounder.as_ref(), w.stratified, reps, &executor))
+        .map(|w| measure(&w.name, w.grounder.as_ref(), w.stratified, reps, &par))
         .collect();
 
     // Guard against pipeline-level drift while we are here: the end-to-end
@@ -232,7 +227,7 @@ fn main() {
     for pipeline_threads in [1, threads] {
         let pipeline = Pipeline::new(&network_resilience_program(0.1), &db)
             .expect("pipeline")
-            .threads(pipeline_threads);
+            .with_executor(Arc::new(Executor::new(pipeline_threads)));
         let space = pipeline.solve().expect("solves");
         assert_eq!(
             space.has_stable_model_probability().to_string(),

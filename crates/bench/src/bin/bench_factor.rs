@@ -2,17 +2,18 @@
 //! independence analysis + per-component product space against the flat
 //! single-chase enumerator.
 //!
-//! The factored pipeline (`Pipeline::solve_factored`) partitions the ground
-//! program into chase-independent components, chases each one separately and
-//! answers queries from the *product* of the per-component spaces without
-//! ever materializing the flat cross product. This tracker measures that
-//! lever on workloads that genuinely factor:
+//! The factored pipeline (`Pipeline::solve_factored_with_analysis`)
+//! partitions the ground program into chase-independent components, chases
+//! each one separately and answers queries from the *product* of the
+//! per-component spaces without ever materializing the flat cross product.
+//! This tracker measures that lever on workloads that genuinely factor:
 //!
 //! * `flat_ms` — `Pipeline::solve`: one chase over the joint space, one
 //!   stable-model pass per joint outcome (`null` for past-the-wall
 //!   workloads whose joint outcome count exceeds the default chase budget);
-//! * `factored_ms` — `Pipeline::solve_factored`: independence analysis,
-//!   one chase + stable-model pass per component, product arithmetic.
+//! * `factored_ms` — `Pipeline::solve_factored_with_analysis`: independence
+//!   analysis, one chase + stable-model pass per component, product
+//!   arithmetic.
 //!
 //! Before anything is timed the two paths must agree **exactly** wherever
 //! both run: total mass accounting, joint outcome counts, the mass-sorted
@@ -34,8 +35,9 @@
 //! the scale's speedup floor — 2× at smoke scale, 10× at full scale.
 
 use gdlog_bench::workloads::{factor_workload_suite, FactorWorkload};
-use gdlog_core::{ModelSetKey, Pipeline, THREADS_ENV};
+use gdlog_core::{Executor, ModelSetKey, Pipeline, THREADS_ENV};
 use gdlog_prob::Prob;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Events hashed into the fingerprint and compared flat-vs-factored.
@@ -88,10 +90,13 @@ fn fingerprint(events: &[(ModelSetKey, Prob)], combined_outcomes: u128) -> Strin
 }
 
 fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
+    let executor = Arc::new(Executor::new(threads));
     let pipeline = Pipeline::new(&w.program, &w.database)
         .expect("workload pipeline builds")
-        .threads(threads);
-    let solve = pipeline.solve_factored().expect("factored solve succeeds");
+        .with_executor(executor.clone());
+    let (solve, _) = pipeline
+        .solve_factored_with_analysis()
+        .expect("factored solve succeeds");
     assert!(
         solve.is_factored(),
         "{}: expected a product space, got the flat fallback",
@@ -124,7 +129,7 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
     let flat_ms = if w.flat_feasible {
         let flat_pipeline = Pipeline::new(&w.program, &w.database)
             .expect("workload pipeline builds")
-            .threads(threads);
+            .with_executor(executor);
         let flat = flat_pipeline.solve().expect("flat solve succeeds");
         assert!(
             !flat.is_truncated(),
@@ -249,8 +254,9 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
 
     let factored_ms = time_min_ms(reps, || {
         pipeline
-            .solve_factored()
+            .solve_factored_with_analysis()
             .expect("factored solve succeeds")
+            .0
             .factor_count()
     });
 

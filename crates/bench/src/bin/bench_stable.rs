@@ -10,7 +10,7 @@
 //!   `sms(Σ ∪ G(Σ))` with the retained naive `2^k` sweep
 //!   ([`gdlog_engine::naive_stable_models`]), then build and sort the event
 //!   partition;
-//! * `scc_ms` — sequential [`OutputSpace::from_chase_with`]: component-split
+//! * `scc_ms` — sequential [`OutputSpace::from_chase`]: component-split
 //!   propagating search, no cache;
 //! * `par_ms` — the same with one task per distinct outcome program on a
 //!   work-stealing pool (`--threads` workers), cold cache;
@@ -35,11 +35,12 @@
 
 use gdlog_bench::workloads::stable_workload_suite;
 use gdlog_core::{
-    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, ModelSetCache, ModelSetKey,
+    enumerate_outcomes, ChaseBudget, ChaseResult, Ctx, Executor, ModelSetCache, ModelSetKey,
     OutputSpace, TriggerOrder, THREADS_ENV,
 };
 use gdlog_engine::{naive_stable_models, StableModelLimits};
 use gdlog_prob::{EventPartition, Prob};
+use std::sync::Arc;
 use std::time::Instant;
 
 struct Row {
@@ -110,13 +111,9 @@ fn fingerprint(events: &[(ModelSetKey, Prob)], outcomes: usize) -> String {
     )
 }
 
-fn measure(
-    name: &str,
-    grounder: &dyn gdlog_core::Grounder,
-    reps: usize,
-    executor: &Executor,
-) -> Row {
+fn measure(name: &str, grounder: &dyn gdlog_core::Grounder, reps: usize, par: &Ctx) -> Row {
     let limits = StableModelLimits::default();
+    let seq = Ctx::sequential();
     let chase = enumerate_outcomes(grounder, &ChaseBudget::default(), TriggerOrder::First)
         .expect("chase enumeration succeeds");
 
@@ -124,9 +121,8 @@ fn measure(
     // sequential SCC keys and the parallel+memoized keys must be identical
     // per outcome, and so must the mass-sorted event listings.
     let naive = naive_events(&chase, &limits);
-    let sequential =
-        OutputSpace::from_chase_with(chase.clone(), &limits, &Executor::sequential(), None)
-            .expect("sequential from_chase succeeds");
+    let sequential = OutputSpace::from_chase(chase.clone(), &limits, &seq)
+        .expect("sequential from_chase succeeds");
     assert_eq!(
         naive,
         sequential.events_by_mass(),
@@ -140,9 +136,12 @@ fn measure(
             "{name}: SCC search changed the key of {outcome}"
         );
     }
-    let cache = ModelSetCache::new();
-    let memoized = OutputSpace::from_chase_with(chase.clone(), &limits, executor, Some(&cache))
-        .expect("parallel from_chase succeeds");
+    let memoized = OutputSpace::from_chase(
+        chase.clone(),
+        &limits,
+        &par.clone().with_cache(Arc::new(ModelSetCache::new())),
+    )
+    .expect("parallel from_chase succeeds");
     assert_eq!(
         sequential.events_by_mass(),
         memoized.events_by_mass(),
@@ -152,8 +151,8 @@ fn measure(
     // Thread sweep: bit-identical events at 1, 2 and 8 threads.
     let mut sweep_ms = Vec::new();
     for threads in [1usize, 2, 8] {
-        let exec = Executor::new(threads);
-        let space = OutputSpace::from_chase_with(chase.clone(), &limits, &exec, None)
+        let ctx = Ctx::new(Arc::new(Executor::new(threads)));
+        let space = OutputSpace::from_chase(chase.clone(), &limits, &ctx)
             .expect("sweep from_chase succeeds");
         assert_eq!(
             sequential.events_by_mass(),
@@ -161,7 +160,7 @@ fn measure(
             "{name}: events diverged at {threads} threads"
         );
         let ms = time_min_ms(reps, || {
-            OutputSpace::from_chase_with(chase.clone(), &limits, &exec, None)
+            OutputSpace::from_chase(chase.clone(), &limits, &ctx)
                 .unwrap()
                 .event_count()
         });
@@ -170,35 +169,25 @@ fn measure(
 
     let naive_ms = time_min_ms(reps, || naive_events(&chase, &limits).len());
     let scc_ms = time_min_ms(reps, || {
-        OutputSpace::from_chase_with(chase.clone(), &limits, &Executor::sequential(), None)
+        OutputSpace::from_chase(chase.clone(), &limits, &seq)
             .unwrap()
             .event_count()
     });
     let par_ms = time_min_ms(reps, || {
-        OutputSpace::from_chase_with(chase.clone(), &limits, executor, None)
+        OutputSpace::from_chase(chase.clone(), &limits, par)
             .unwrap()
             .event_count()
     });
 
     // Warm-cache column: one cold pass primes the cache, the timed passes
     // hit it; the hit rate covers the cold + warm sequence.
-    let warm_cache = ModelSetCache::new();
-    OutputSpace::from_chase_with(
-        chase.clone(),
-        &limits,
-        &Executor::sequential(),
-        Some(&warm_cache),
-    )
-    .expect("priming pass succeeds");
+    let warm_cache = Arc::new(ModelSetCache::new());
+    let warm = Ctx::sequential().with_cache(warm_cache.clone());
+    OutputSpace::from_chase(chase.clone(), &limits, &warm).expect("priming pass succeeds");
     let warm_ms = time_min_ms(reps, || {
-        OutputSpace::from_chase_with(
-            chase.clone(),
-            &limits,
-            &Executor::sequential(),
-            Some(&warm_cache),
-        )
-        .unwrap()
-        .event_count()
+        OutputSpace::from_chase(chase.clone(), &limits, &warm)
+            .unwrap()
+            .event_count()
     });
     let cache_hit_rate = warm_cache.stats().hit_rate();
 
@@ -249,15 +238,15 @@ fn main() {
         })
         .unwrap_or(4);
     let reps = if full { 3 } else { 2 };
-    let executor = Executor::new(threads);
-    let threads = executor.threads();
+    let par = Ctx::new(Arc::new(Executor::new(threads)));
+    let threads = par.executor.threads();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
 
     let rows: Vec<Row> = stable_workload_suite(full)
         .iter()
-        .map(|w| measure(&w.name, w.grounder.as_ref(), reps, &executor))
+        .map(|w| measure(&w.name, w.grounder.as_ref(), reps, &par))
         .collect();
 
     let best = rows

@@ -11,8 +11,8 @@ use crate::workloads::{
 };
 use gdlog_core::{
     as_good_as, bckov_output, coin_program, compare_outputs, dependency_graph, enumerate_outcomes,
-    isomorphic_to_bckov, stratification, ChaseBudget, Grounder, GrounderChoice, McParams,
-    PerfectGrounder, Pipeline, Program, SigmaPi, SimpleGrounder, TriggerOrder,
+    isomorphic_to_bckov, stratification, CancelToken, ChaseBudget, Ctx, Grounder, GrounderChoice,
+    McParams, PerfectGrounder, Pipeline, Program, SigmaPi, SimpleGrounder, TriggerOrder,
 };
 use gdlog_data::{Const, Database, GroundAtom, Predicate};
 use gdlog_engine::{stable_models, StableModelLimits};
@@ -158,10 +158,11 @@ fn e2_coin_program() -> Report {
         all_half,
     ));
     let limits = StableModelLimits::default();
+    let never = CancelToken::never();
     let mut counts: Vec<usize> = chase
         .outcomes
         .iter()
-        .map(|o| o.stable_models(&limits).unwrap().len())
+        .map(|o| o.stable_models(&limits, &never).unwrap().len())
         .collect();
     counts.sort();
     report.push(Row::new(
@@ -324,20 +325,17 @@ fn e5_bckov_isomorphism() -> Report {
 /// E6 — Theorems 3.12 and 5.3: the "as good as" relation.
 fn e6_as_good_as() -> Report {
     let mut report = Report::new("E6 — 'as good as' comparisons (Theorems 3.12 and 5.3)");
+    let space = |grounder: &dyn Grounder| {
+        let chase = enumerate_outcomes(grounder, &ChaseBudget::default(), TriggerOrder::First);
+        let limits = StableModelLimits::default();
+        gdlog_core::OutputSpace::from_chase(chase.unwrap(), &limits, &Ctx::sequential()).unwrap()
+    };
     // Stratified case: perfect vs simple on the dime/quarter family.
     for dimes in [1usize, 2, 3] {
         let (program, db) = dime_quarter_workload(dimes, 1);
         let sigma = Arc::new(SigmaPi::translate(&program, &db).unwrap());
-        let simple = SimpleGrounder::new(sigma.clone());
-        let perfect = PerfectGrounder::new(sigma).unwrap();
-        let chase_s =
-            enumerate_outcomes(&simple, &ChaseBudget::default(), TriggerOrder::First).unwrap();
-        let chase_p =
-            enumerate_outcomes(&perfect, &ChaseBudget::default(), TriggerOrder::First).unwrap();
-        let s_space =
-            gdlog_core::OutputSpace::from_chase(&chase_s, &StableModelLimits::default()).unwrap();
-        let p_space =
-            gdlog_core::OutputSpace::from_chase(&chase_p, &StableModelLimits::default()).unwrap();
+        let s_space = space(&SimpleGrounder::new(sigma.clone()));
+        let p_space = space(&PerfectGrounder::new(sigma).unwrap());
         let dominates = as_good_as(&p_space, &s_space);
         report.push(Row::new(
             &format!("{dimes} dime(s): perfect as good as simple"),
@@ -345,29 +343,20 @@ fn e6_as_good_as() -> Report {
             if dominates { "yes" } else { "no" },
             dominates,
         ));
+        let (outcomes_p, outcomes_s) = (p_space.outcome_count(), s_space.outcome_count());
         report.push(Row::new(
             &format!("{dimes} dime(s): outcomes perfect vs simple"),
             "perfect ≤ simple",
-            &format!("{} vs {}", chase_p.outcomes.len(), chase_s.outcomes.len()),
-            chase_p.outcomes.len() <= chase_s.outcomes.len(),
+            &format!("{outcomes_p} vs {outcomes_s}"),
+            outcomes_p <= outcomes_s,
         ));
     }
     // Positive case: all grounders agree (Theorem 3.12 via equality).
     let positive = Program::new(network_program(0.1).rules()[..1].to_vec());
     let db = network_database(4, Topology::Line);
     let sigma = Arc::new(SigmaPi::translate(&positive, &db).unwrap());
-    let simple = SimpleGrounder::new(sigma.clone());
-    let perfect = PerfectGrounder::new(sigma).unwrap();
-    let s_space = gdlog_core::OutputSpace::from_chase(
-        &enumerate_outcomes(&simple, &ChaseBudget::default(), TriggerOrder::First).unwrap(),
-        &StableModelLimits::default(),
-    )
-    .unwrap();
-    let p_space = gdlog_core::OutputSpace::from_chase(
-        &enumerate_outcomes(&perfect, &ChaseBudget::default(), TriggerOrder::First).unwrap(),
-        &StableModelLimits::default(),
-    )
-    .unwrap();
+    let s_space = space(&SimpleGrounder::new(sigma.clone()));
+    let p_space = space(&PerfectGrounder::new(sigma).unwrap());
     let cmp = compare_outputs(&s_space, &p_space);
     report.push(Row::new(
         "positive program: simple ≡ perfect",
@@ -387,13 +376,14 @@ fn e7_grounder_properties() -> Report {
     let perfect = PerfectGrounder::new(sigma.clone()).unwrap();
     let simple = SimpleGrounder::new(sigma);
     let limits = StableModelLimits::default();
+    let never = CancelToken::never();
 
     let chase = enumerate_outcomes(&perfect, &ChaseBudget::default(), TriggerOrder::First).unwrap();
     // Lemma E.1: every perfect-grounder possible outcome has exactly one
     // stable model, namely the heads of its rules.
     let mut lemma_e1 = true;
     for outcome in &chase.outcomes {
-        let models = outcome.stable_models(&limits).unwrap();
+        let models = outcome.stable_models(&limits, &never).unwrap();
         let full = outcome.full_program();
         if models.len() != 1 || &models[0] != full.heads() {
             lemma_e1 = false;
@@ -413,12 +403,12 @@ fn e7_grounder_properties() -> Report {
         enumerate_outcomes(&simple, &ChaseBudget::default(), TriggerOrder::First).unwrap();
     let mut prop_3_5 = true;
     for outcome in &chase_simple.outcomes {
-        let models_simple = outcome.stable_models(&limits).unwrap();
+        let models_simple = outcome.stable_models(&limits, &never).unwrap();
         // The perfect grounding of the same choice set (restricted to the
         // choices actually required) must induce the same models on the
         // original schema.
         let perfect_rules = perfect.full_program(&outcome.atr);
-        let models_perfect = stable_models(&perfect_rules, &limits).unwrap();
+        let models_perfect = stable_models(&perfect_rules, &limits, &never).unwrap();
         let strip = |models: &[Database]| {
             let mut v: Vec<Vec<GroundAtom>> = models
                 .iter()
@@ -524,10 +514,11 @@ fn e10_monte_carlo() -> Report {
     let db = network_database(3, Topology::Clique);
     let pipeline = Pipeline::new(&network_program(0.1), &db).unwrap();
     let limits = StableModelLimits::default();
+    let never = CancelToken::never();
     let mut mc = pipeline.sampler_with(McParams::new().with_max_triggers(128).with_seed(20230613));
     let stats = mc
         .estimate(5000, |outcome| {
-            !outcome.stable_models(&limits).unwrap().is_empty()
+            !outcome.stable_models(&limits, &never).unwrap().is_empty()
         })
         .unwrap();
     report.push(Row::new(
@@ -554,7 +545,7 @@ fn e10_monte_carlo() -> Report {
     let mut mc = pipeline.sampler_with(McParams::new().with_max_triggers(256).with_seed(7));
     let stats = mc
         .estimate(2000, |outcome| {
-            !outcome.stable_models(&limits).unwrap().is_empty()
+            !outcome.stable_models(&limits, &never).unwrap().is_empty()
         })
         .unwrap();
     report.push(Row::new(

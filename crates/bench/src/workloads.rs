@@ -471,9 +471,8 @@ pub struct ChaseWorkload {
     pub grounder: Box<dyn Grounder>,
 }
 
-/// The chase benchmark suite — **the** scale table for `bench_chase` and the
-/// chase criterion benches, at CI-smoke (`full = false`) or full measurement
-/// size. Scales live only here so the smoke and full runs cannot drift.
+/// The chase benchmark suite — **the** scale table for `bench_chase`, at
+/// CI-smoke (`full = false`) or full measurement size. Scales live only here so the smoke and full runs cannot drift.
 pub fn chase_workload_suite(full: bool) -> Vec<ChaseWorkload> {
     let (dimes, quarters) = if full { (9, 2) } else { (5, 1) };
     let coins = if full { 10 } else { 6 };
@@ -709,9 +708,12 @@ mod tests {
         let atr = cascade_choice_set(&grounder, 1, 16);
         assert!(grounder.is_terminal(&atr));
         let program = grounder.full_program(&atr);
-        let models =
-            gdlog_engine::stable_models(&program, &gdlog_engine::StableModelLimits::default())
-                .unwrap();
+        let models = gdlog_engine::stable_models(
+            &program,
+            &gdlog_engine::StableModelLimits::default(),
+            &gdlog_engine::CancelToken::never(),
+        )
+        .unwrap();
         assert_eq!(models.len(), 8, "three independent even loops");
         assert_eq!(
             models,
@@ -734,7 +736,9 @@ mod tests {
         assert!(grounder.is_terminal(&atr));
         let program = grounder.full_program(&atr);
         let limits = gdlog_engine::StableModelLimits::default();
-        let models = gdlog_engine::stable_models(&program, &limits).unwrap();
+        let models =
+            gdlog_engine::stable_models(&program, &limits, &gdlog_engine::CancelToken::never())
+                .unwrap();
         // Binary strings of length 3 with no two adjacent ones: 101 is the
         // Fibonacci count F(5) = 5.
         assert_eq!(models.len(), 5);
@@ -825,8 +829,12 @@ mod tests {
     #[test]
     fn choice_program_has_exponential_stable_models() {
         let p = choice_program(3);
-        let models =
-            gdlog_engine::stable_models(&p, &gdlog_engine::StableModelLimits::default()).unwrap();
+        let models = gdlog_engine::stable_models(
+            &p,
+            &gdlog_engine::StableModelLimits::default(),
+            &gdlog_engine::CancelToken::never(),
+        )
+        .unwrap();
         assert_eq!(models.len(), 8);
     }
 }

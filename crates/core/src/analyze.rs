@@ -34,10 +34,11 @@
 //!    dynamic analysis (`factor::analyze`) projects onto a predicate-level
 //!    edge of this graph, so every dynamic chase component lies inside one
 //!    static component: the static partition *over-approximates*
-//!    dependence. [`crate::Pipeline::solve_factored`] uses it two ways —
-//!    [`certainly_single_trigger`] skips universe saturation outright when
-//!    the program provably has at most one probabilistic trigger, and
-//!    otherwise the saturation fixpoint is seeded per static component.
+//!    dependence. [`crate::Pipeline::solve_factored_with_analysis`] uses it
+//!    two ways — [`certainly_single_trigger`] skips universe saturation
+//!    outright when the program provably has at most one probabilistic
+//!    trigger, and otherwise the saturation fixpoint is seeded per static
+//!    component.
 //! 5. **Hygiene** ([`lint`]): head predicates never read by any body
 //!    (query-only outputs or dead code), rules that can never fire because
 //!    a positive body predicate is underivable, always-true negative
@@ -735,8 +736,8 @@ impl StaticComponents {
 /// Static certificate that the program has at most one probabilistic
 /// trigger, i.e. the dynamic independence analysis would necessarily fall
 /// back to the flat path (fewer than two trigger-bearing components) — so
-/// [`crate::Pipeline::solve_factored`] can skip universe saturation
-/// entirely.
+/// [`crate::Pipeline::solve_factored_with_analysis`] can skip universe
+/// saturation entirely.
 ///
 /// The certificate holds when every rule deriving an `Active` atom has a
 /// fully ground `Active` head (no variables in the Δ-term's parameters or

@@ -21,8 +21,8 @@ pub enum SolveStrategy {
     #[default]
     Flat,
     /// Chase independent components separately and answer from the product
-    /// of their outcome spaces (`Pipeline::solve_factored`); falls back to
-    /// the flat path when the program does not factor.
+    /// of their outcome spaces (`Pipeline::solve_factored_with_analysis`);
+    /// falls back to the flat path when the program does not factor.
     Factored,
     /// Let the solver pick: the grounding-free static independence analysis
     /// of `gdlog lint` (PR 8) chooses the factored path exactly when it

@@ -276,7 +276,12 @@ impl QueryResponse {
         if self.interrupted {
             let _ = writeln!(
                 out,
-                "interrupted: yes (deadline hit; residual mass is exact, result is partial)"
+                "interrupted: yes (deadline hit; residual mass is {}, result is partial)",
+                if self.residual_mass.is_exact() {
+                    "exact"
+                } else {
+                    "approximate"
+                }
             );
         }
         let _ = writeln!(out, "P(stable model exists) = {}", self.p_stable);
@@ -434,6 +439,18 @@ mod tests {
         cut.interrupted = true;
         assert!(cut.render_json().contains("\"interrupted\": true"));
         assert!(cut.render_text().contains("interrupted: yes"));
+    }
+
+    #[test]
+    fn interrupted_banner_calls_only_exact_residuals_exact() {
+        let mut cut = sample();
+        cut.interrupted = true;
+        cut.residual_mass = Prob::ratio(1, 4);
+        assert!(cut.render_text().contains("residual mass is exact"));
+        cut.residual_mass = Prob::Approx(0.25);
+        let text = cut.render_text();
+        assert!(text.contains("residual mass is approximate"));
+        assert!(!text.contains("exact"));
     }
 
     #[test]

@@ -128,19 +128,19 @@ impl Solver {
     /// surface [`CoreError::Interrupted`].
     pub fn query(&self, request: &QueryRequest) -> Result<QueryResponse, CoreError> {
         match request.timeout_ms {
-            None => self.query_with_cancel(request, &CancelToken::never()),
+            None => self.query_until(request, &CancelToken::never()),
             Some(ms) => {
                 let cancel = CancelToken::new();
                 let _guard = cancel.cancel_after(Duration::from_millis(ms));
-                self.query_with_cancel(request, &cancel)
+                self.query_until(request, &cancel)
             }
         }
     }
 
-    /// [`Solver::query`] against a caller-owned cancellation token (the
-    /// server's watchdog arms deadlines this way). `request.timeout_ms` is
-    /// ignored here — whoever owns the token owns the deadline.
-    pub fn query_with_cancel(
+    /// [`Solver::query`] against a caller-owned cancellation token.
+    /// `request.timeout_ms` is ignored here — whoever owns the token owns
+    /// the deadline.
+    fn query_until(
         &self,
         request: &QueryRequest,
         cancel: &CancelToken,
@@ -485,7 +485,7 @@ mod tests {
         cancel.cancel();
         let request = QueryRequest::new();
         let cut = solver
-            .query_with_cancel(&request, &cancel)
+            .query_until(&request, &cancel)
             .expect("a cancelled chase degrades to a partial response");
         assert!(cut.interrupted);
         assert!(cut.truncated);
@@ -518,7 +518,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         let err = solver
-            .query_with_cancel(&request, &cancel)
+            .query_until(&request, &cancel)
             .expect_err("mc is exact-sample-count-or-nothing");
         assert!(matches!(err, CoreError::Interrupted(_)));
         assert!(err.to_string().contains("monte-carlo"));

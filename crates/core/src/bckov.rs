@@ -17,7 +17,7 @@ use crate::grounding::Grounder;
 use crate::translate::SigmaPi;
 use gdlog_data::match_atoms_indexed;
 use gdlog_data::{Database, GroundAtom};
-use gdlog_engine::StableModelLimits;
+use gdlog_engine::{CancelToken, StableModelLimits};
 use gdlog_prob::Prob;
 
 /// A BCKOV possible outcome: an instance together with its probability.
@@ -184,7 +184,7 @@ pub fn isomorphic_to_bckov(
     // Map each of our outcomes to (stable model modulo active, probability).
     let mut ours: Vec<(Vec<GroundAtom>, Prob)> = Vec::with_capacity(chase.outcomes.len());
     for outcome in &chase.outcomes {
-        let models = outcome.stable_models(limits)?;
+        let models = outcome.stable_models(limits, &CancelToken::never())?;
         if models.len() != 1 {
             return Ok(false);
         }

@@ -16,8 +16,8 @@
 //! [`ChaseResult::residual_mass`]. By Theorem 3.9 the explored mass plus the
 //! residual equals one.
 
+use crate::ctx::Ctx;
 use crate::error::CoreError;
-use crate::exec::Executor;
 use crate::grounding::{AtrRule, AtrSet, Grounder, Grounding};
 use gdlog_data::GroundAtom;
 use gdlog_engine::CancelToken;
@@ -200,29 +200,19 @@ pub fn enumerate_outcomes(
     budget: &ChaseBudget,
     order: TriggerOrder,
 ) -> Result<ChaseResult, CoreError> {
-    enumerate_outcomes_with(grounder, budget, order, &Executor::sequential())
+    enumerate_outcomes_in(grounder, budget, order, &Ctx::sequential())
 }
 
-/// [`enumerate_outcomes`] under an explicit execution policy.
+/// [`enumerate_outcomes`] under `ctx`'s executor and cancellation token.
 ///
-/// With a parallel [`Executor`] the chase tree is explored by the pool —
-/// each sibling subtree extends an `Arc`-shared snapshot of its parent's
-/// grounding, so subtrees share no mutable state — and the per-subtree
-/// results are then merged **in trigger order** by a sequential replay, so
-/// the outcome list, every probability, the residual mass, `truncated` and
-/// `nodes_visited` are bit-identical to the sequential enumeration
-/// regardless of the thread count or scheduling (see `ARCHITECTURE.md`,
-/// "Parallel chase exploration").
-pub fn enumerate_outcomes_with(
-    grounder: &dyn Grounder,
-    budget: &ChaseBudget,
-    order: TriggerOrder,
-    executor: &Executor,
-) -> Result<ChaseResult, CoreError> {
-    enumerate_outcomes_cancellable(grounder, budget, order, executor, &CancelToken::never())
-}
-
-/// [`enumerate_outcomes_with`] under a cooperative [`CancelToken`].
+/// With a parallel [`Executor`](crate::Executor) the chase tree is explored
+/// by the pool — each sibling subtree extends an `Arc`-shared snapshot of its
+/// parent's grounding, so subtrees share no mutable state — and the
+/// per-subtree results are then merged **in trigger order** by a sequential
+/// replay, so the outcome list, every probability, the residual mass,
+/// `truncated` and `nodes_visited` are bit-identical to the sequential
+/// enumeration regardless of the thread count or scheduling (see
+/// `ARCHITECTURE.md`, "Parallel chase exploration").
 ///
 /// The token is polled at every chase-node expansion (and re-checked after
 /// each node's grounding, so a saturation the grounder broke out of early
@@ -231,13 +221,13 @@ pub fn enumerate_outcomes_with(
 /// `truncated` is set, and additionally [`ChaseResult::interrupted`] records
 /// that the cut was a cancellation — the invariant `explored + residual = 1`
 /// holds for interrupted results too.
-pub fn enumerate_outcomes_cancellable(
+pub fn enumerate_outcomes_in(
     grounder: &dyn Grounder,
     budget: &ChaseBudget,
     order: TriggerOrder,
-    executor: &Executor,
-    cancel: &CancelToken,
+    ctx: &Ctx,
 ) -> Result<ChaseResult, CoreError> {
+    let cancel = &ctx.cancel;
     if budget.max_outcomes == 0 {
         return Err(CoreError::Budget(
             "max_outcomes must be at least one".to_owned(),
@@ -250,7 +240,7 @@ pub fn enumerate_outcomes_cancellable(
         nodes_visited: 0,
         interrupted: false,
     };
-    match executor.pool() {
+    match ctx.executor.pool() {
         None => explore(
             grounder,
             budget,
@@ -263,7 +253,7 @@ pub fn enumerate_outcomes_cancellable(
             &mut result,
         )?,
         Some(pool) => {
-            let ctx = Ctx {
+            let spec = Speculation {
                 grounder,
                 budget,
                 order,
@@ -272,10 +262,10 @@ pub fn enumerate_outcomes_cancellable(
             };
             let root = Arc::new(Cell::new());
             pool.scope(|scope| {
-                let ctx = &ctx;
+                let spec = &spec;
                 let root = Arc::clone(&root);
                 scope.spawn(move |scope| {
-                    speculate(ctx, scope, AtrSet::new(), None, Prob::ONE, 0, root)
+                    speculate(spec, scope, AtrSet::new(), None, Prob::ONE, 0, root)
                 });
             });
             replay(
@@ -339,7 +329,7 @@ enum Node {
 /// A write-once slot filled by exactly one exploration task.
 type Cell = OnceLock<Node>;
 
-struct Ctx<'a> {
+struct Speculation<'a> {
     grounder: &'a dyn Grounder,
     budget: &'a ChaseBudget,
     order: TriggerOrder,
@@ -371,7 +361,7 @@ fn take_node(cell: Arc<Cell>) -> Node {
 /// global traversal order (outcome-budget pruning and result accumulation),
 /// which [`replay`] takes afterwards.
 fn speculate<'s>(
-    ctx: &'s Ctx<'s>,
+    spec: &'s Speculation<'s>,
     scope: &rayon::Scope<'s>,
     atr: AtrSet,
     parent: Option<(AtrSet, Grounding)>,
@@ -382,7 +372,8 @@ fn speculate<'s>(
     // A cancelled speculation defers: the replay re-enters the node
     // sequentially, sees the cancelled token, and cuts it to residual mass
     // without redoing any grounding work.
-    if ctx.cancel.is_cancelled() || ctx.found.load(Ordering::Relaxed) >= ctx.budget.max_outcomes {
+    if spec.cancel.is_cancelled() || spec.found.load(Ordering::Relaxed) >= spec.budget.max_outcomes
+    {
         set_node(
             &cell,
             Node::Deferred {
@@ -393,23 +384,23 @@ fn speculate<'s>(
         );
         return;
     }
-    if path_prob.to_f64() < ctx.budget.min_path_probability {
+    if path_prob.to_f64() < spec.budget.min_path_probability {
         set_node(&cell, Node::MinPathCut { path_prob });
         return;
     }
 
     let mut grounding = match parent {
         Some((parent_atr, mut parent_grounding)) => {
-            ctx.grounder
+            spec.grounder
                 .ground_from(&atr, &parent_atr, &mut parent_grounding)
         }
-        None => ctx.grounder.ground_node(&atr),
+        None => spec.grounder.ground_node(&atr),
     };
 
     // Re-check after grounding: a cancelled grounder may have broken out of
     // saturation early, so this node's rule set (and hence its trigger set)
     // cannot be trusted to decide leaf-ness. Defer it; the replay cuts it.
-    if ctx.cancel.is_cancelled() {
+    if spec.cancel.is_cancelled() {
         set_node(
             &cell,
             Node::Deferred {
@@ -420,10 +411,10 @@ fn speculate<'s>(
         );
         return;
     }
-    let triggers = ctx.grounder.triggers(&atr, grounding.rules());
+    let triggers = spec.grounder.triggers(&atr, grounding.rules());
 
     if triggers.is_empty() {
-        ctx.found.fetch_add(1, Ordering::Relaxed);
+        spec.found.fetch_add(1, Ordering::Relaxed);
         set_node(
             &cell,
             Node::Leaf(Box::new(PossibleOutcome::new(
@@ -435,13 +426,13 @@ fn speculate<'s>(
         return;
     }
 
-    if depth >= ctx.budget.max_depth {
+    if depth >= spec.budget.max_depth {
         set_node(&cell, Node::DepthCut { path_prob });
         return;
     }
 
-    let trigger = triggers[ctx.order.pick(&triggers, depth)].clone();
-    let schema = match ctx.grounder.sigma().schema_for_active(&trigger.predicate) {
+    let trigger = triggers[spec.order.pick(&triggers, depth)].clone();
+    let schema = match spec.grounder.sigma().schema_for_active(&trigger.predicate) {
         Some(schema) => schema,
         None => {
             set_node(
@@ -456,7 +447,8 @@ fn speculate<'s>(
             return;
         }
     };
-    let mut branches = match schema.outcomes(&trigger, ctx.budget.max_branching.saturating_add(1)) {
+    let mut branches = match schema.outcomes(&trigger, spec.budget.max_branching.saturating_add(1))
+    {
         Ok(branches) => branches,
         Err(e) => {
             set_node(
@@ -469,8 +461,8 @@ fn speculate<'s>(
             return;
         }
     };
-    let support_cut = branches.len() > ctx.budget.max_branching;
-    branches.truncate(ctx.budget.max_branching);
+    let support_cut = branches.len() > spec.budget.max_branching;
+    branches.truncate(spec.budget.max_branching);
     let branch_mass = Prob::sum(branches.iter().map(|(_, p)| *p));
     let tail = path_prob.mul(&Prob::ONE.sub(&branch_mass));
 
@@ -481,7 +473,7 @@ fn speculate<'s>(
         // A construction failure becomes the child's node: the replay walks
         // the earlier children normally and surfaces the error exactly where
         // the sequential recursion would have.
-        let rule = match AtrRule::new(ctx.grounder.sigma(), trigger.clone(), outcome_value) {
+        let rule = match AtrRule::new(spec.grounder.sigma(), trigger.clone(), outcome_value) {
             Ok(rule) => rule,
             Err(e) => {
                 set_node(&child_cell, Node::FailedChild(e));
@@ -504,7 +496,7 @@ fn speculate<'s>(
         if depth < SPLIT_DEPTH {
             scope.spawn(move |scope| {
                 speculate(
-                    ctx,
+                    spec,
                     scope,
                     child_atr,
                     child_parent,
@@ -515,7 +507,7 @@ fn speculate<'s>(
             });
         } else {
             speculate(
-                ctx,
+                spec,
                 scope,
                 child_atr,
                 child_parent,
@@ -798,7 +790,11 @@ mod tests {
         let mut model_counts: Vec<usize> = result
             .outcomes
             .iter()
-            .map(|o| o.stable_models(&limits).unwrap().len())
+            .map(|o| {
+                o.stable_models(&limits, &CancelToken::never())
+                    .unwrap()
+                    .len()
+            })
             .collect();
         model_counts.sort();
         assert_eq!(model_counts, vec![0, 2]);
@@ -820,7 +816,11 @@ mod tests {
             result
                 .outcomes
                 .iter()
-                .filter(|o| o.stable_models(&limits).unwrap().is_empty())
+                .filter(|o| {
+                    o.stable_models(&limits, &CancelToken::never())
+                        .unwrap()
+                        .is_empty()
+                })
                 .map(|o| o.probability),
         );
         // Probability that the network is dominated (has some stable model):
@@ -1009,12 +1009,11 @@ mod tests {
         let grounder = simple_for(&program, &db);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let result = enumerate_outcomes_cancellable(
+        let result = enumerate_outcomes_in(
             &grounder,
             &ChaseBudget::default(),
             TriggerOrder::First,
-            &Executor::sequential(),
-            &cancel,
+            &Ctx::sequential().with_cancel(cancel.clone()),
         )
         .unwrap();
         // The root is cut before grounding anything: no outcomes, the whole
@@ -1033,12 +1032,11 @@ mod tests {
         let grounder = simple_for(&program, &db);
         let plain =
             enumerate_outcomes(&grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
-        let never = enumerate_outcomes_cancellable(
+        let never = enumerate_outcomes_in(
             &grounder,
             &ChaseBudget::default(),
             TriggerOrder::First,
-            &Executor::sequential(),
-            &CancelToken::never(),
+            &Ctx::sequential().with_cancel(CancelToken::never()),
         )
         .unwrap();
         assert!(!never.interrupted);
@@ -1060,12 +1058,11 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
             flag.cancel();
         });
-        let result = enumerate_outcomes_cancellable(
+        let result = enumerate_outcomes_in(
             &grounder,
             &ChaseBudget::default(),
             TriggerOrder::First,
-            &Executor::sequential(),
-            &cancel,
+            &Ctx::sequential().with_cancel(cancel.clone()),
         )
         .unwrap();
         canceller.join().unwrap();
@@ -1131,9 +1128,9 @@ mod tests {
                 let sequential =
                     enumerate_outcomes(grounder, &ChaseBudget::default(), order).unwrap();
                 for threads in [2, 3, 8] {
-                    let exec = crate::exec::Executor::new(threads);
+                    let ctx = Ctx::new(Arc::new(crate::exec::Executor::new(threads)));
                     let parallel =
-                        enumerate_outcomes_with(grounder, &ChaseBudget::default(), order, &exec)
+                        enumerate_outcomes_in(grounder, &ChaseBudget::default(), order, &ctx)
                             .unwrap();
                     assert_bit_identical(&sequential, &parallel, &format!("{order:?} x{threads}"));
                 }
@@ -1168,10 +1165,9 @@ mod tests {
         ] {
             let sequential = enumerate_outcomes(&grounder, &budget, TriggerOrder::First).unwrap();
             for threads in [2, 8] {
-                let exec = crate::exec::Executor::new(threads);
+                let ctx = Ctx::new(Arc::new(crate::exec::Executor::new(threads)));
                 let parallel =
-                    enumerate_outcomes_with(&grounder, &budget, TriggerOrder::First, &exec)
-                        .unwrap();
+                    enumerate_outcomes_in(&grounder, &budget, TriggerOrder::First, &ctx).unwrap();
                 assert_bit_identical(&sequential, &parallel, &format!("{budget:?} x{threads}"));
             }
         }
@@ -1187,9 +1183,9 @@ mod tests {
             ..ChaseBudget::default()
         };
         let sequential = enumerate_outcomes(&grounder, &coarse, TriggerOrder::First).unwrap();
-        let exec = crate::exec::Executor::new(4);
+        let ctx = Ctx::new(Arc::new(crate::exec::Executor::new(4)));
         let parallel =
-            enumerate_outcomes_with(&grounder, &coarse, TriggerOrder::First, &exec).unwrap();
+            enumerate_outcomes_in(&grounder, &coarse, TriggerOrder::First, &ctx).unwrap();
         assert_bit_identical(&sequential, &parallel, "geometric cut");
         assert_eq!(parallel.residual_mass, Prob::ratio(1, 16));
         assert_eq!(parallel.total_mass(), Prob::ONE);

@@ -108,7 +108,12 @@ mod tests {
     fn space_for(grounder: &dyn Grounder) -> OutputSpace {
         let chase =
             enumerate_outcomes(grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
-        OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap()
+        OutputSpace::from_chase(
+            chase,
+            &StableModelLimits::default(),
+            &crate::Ctx::sequential(),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -163,7 +168,12 @@ mod tests {
                 TriggerOrder::First,
             )
             .unwrap();
-            OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap()
+            OutputSpace::from_chase(
+                chase,
+                &StableModelLimits::default(),
+                &crate::Ctx::sequential(),
+            )
+            .unwrap()
         };
         let cmp = compare_outputs(&full, &truncated);
         assert!(cmp.left_as_good_as_right);

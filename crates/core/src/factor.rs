@@ -45,6 +45,7 @@
 
 use crate::analyze::{certainly_single_trigger, StaticComponents};
 use crate::chase::ChaseBudget;
+use crate::ctx::Ctx;
 use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
 use crate::outcome::ModelSetKey;
@@ -232,7 +233,7 @@ fn partition(sigma: &SigmaPi, universe: &Universe) -> Vec<ChaseComponent> {
         .collect()
 }
 
-/// How [`analyze_with`] reached its verdict: `Static` means the static
+/// How [`analyze`] reached its verdict: `Static` means the static
 /// predicate-level analysis alone decided (no universe saturation ran at
 /// all), `Dynamic` means saturation ran (seeded per static component).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -258,20 +259,12 @@ impl FactorAnalysis {
 /// per-component chase would run, or `None` when the program should take
 /// the flat path — fewer than two trigger-bearing components, a positive
 /// `min_path_probability` (joint-mass cuts do not factorize), a
-/// distribution error, or a universe beyond the analysis cap.
+/// distribution error, or a universe beyond the analysis cap — plus the
+/// [`FactorAnalysis`] verdict describing how it was reached.
 ///
 /// Trigger-free components (the deterministic skeleton: facts and atoms
 /// derivable without any choice) are merged into one final factor so that
 /// every rule of every outcome lands in exactly one factor.
-pub fn analyze(
-    sigma: &SigmaPi,
-    budget: &ChaseBudget,
-) -> Result<Option<Vec<ChaseComponent>>, CoreError> {
-    analyze_cancellable(sigma, budget, &CancelToken::never()).map(|(components, _)| components)
-}
-
-/// [`analyze`] plus the [`FactorAnalysis`] verdict describing how it was
-/// reached.
 ///
 /// Static short-circuits (no saturation): a positive `min_path_probability`
 /// (joint-mass cuts never factorize) or the [`certainly_single_trigger`]
@@ -286,21 +279,15 @@ pub fn analyze(
 /// partitions are concatenated and re-sorted into the canonical
 /// smallest-atom order, and the usual trigger-bearing/base split applies —
 /// byte-identical components to the unseeded global analysis.
-pub fn analyze_with(
+///
+/// `ctx`'s token is checked once per universe-saturation round. A cancelled
+/// analysis returns [`CoreError::Interrupted`] rather than silently taking
+/// the flat fallback (which would start a full flat chase against an
+/// already-expired deadline).
+pub fn analyze(
     sigma: &SigmaPi,
     budget: &ChaseBudget,
-) -> Result<(Option<Vec<ChaseComponent>>, FactorAnalysis), CoreError> {
-    analyze_cancellable(sigma, budget, &CancelToken::never())
-}
-
-/// [`analyze_with`] with a cooperative cancellation token checked once per
-/// universe-saturation round. A cancelled analysis returns
-/// [`CoreError::Interrupted`] rather than silently taking the flat fallback
-/// (which would start a full flat chase against an already-expired deadline).
-pub fn analyze_cancellable(
-    sigma: &SigmaPi,
-    budget: &ChaseBudget,
-    cancel: &CancelToken,
+    ctx: &Ctx,
 ) -> Result<(Option<Vec<ChaseComponent>>, FactorAnalysis), CoreError> {
     if budget.min_path_probability > 0.0 {
         return Ok((None, FactorAnalysis::Static));
@@ -329,7 +316,7 @@ pub fn analyze_cancellable(
     let mut raw: Vec<ChaseComponent> = Vec::new();
     let mut cap = UNIVERSE_ATOM_CAP;
     for (rules, schemas) in groups.values() {
-        let Some(universe) = saturate_group(rules, schemas, budget, cap, cancel)? else {
+        let Some(universe) = saturate_group(rules, schemas, budget, cap, &ctx.cancel)? else {
             return Ok((None, FactorAnalysis::Dynamic));
         };
         cap = cap.saturating_sub(universe.heads.len());
@@ -427,6 +414,15 @@ pub(crate) fn restrict_outcomes(
     chase
 }
 
+/// A mass difference clamped at zero against float dust.
+fn clamp_at_zero(p: Prob) -> Prob {
+    if p.to_f64() < 0.0 {
+        Prob::ZERO
+    } else {
+        p
+    }
+}
+
 /// One solved factor: the component's atoms and its output space.
 pub struct Factor {
     /// The component's universe atoms (for routing query atoms to factors).
@@ -509,12 +505,7 @@ impl FactoredOutputSpace {
 
     /// Joint residual: `1 − ∏ exploredᵢ`, clamped at zero against float dust.
     pub fn residual_mass(&self) -> Prob {
-        let r = Prob::ONE.sub(&self.explored_mass());
-        if r.to_f64() < 0.0 {
-            Prob::ZERO
-        } else {
-            r
-        }
+        clamp_at_zero(Prob::ONE.sub(&self.explored_mass()))
     }
 
     /// Did any factor's chase hit its budget?
@@ -595,10 +586,10 @@ impl FactoredOutputSpace {
     /// masses; any other key has mass zero.
     pub fn event_probability(&self, key: &ModelSetKey) -> Prob {
         if key.is_empty() {
-            let r = self
-                .explored_mass()
-                .sub(&self.has_stable_model_probability());
-            return if r.to_f64() < 0.0 { Prob::ZERO } else { r };
+            return clamp_at_zero(
+                self.explored_mass()
+                    .sub(&self.has_stable_model_probability()),
+            );
         }
         let mut mass = Prob::ONE;
         let mut projections: Vec<ModelSetKey> = Vec::with_capacity(self.factors.len());
@@ -658,19 +649,10 @@ impl FactoredOutputSpace {
     /// Every atom with the given predicate name occurring in any factor's
     /// stable models (for marginal reports).
     pub fn atoms_with_predicate(&self, name: &str) -> BTreeSet<GroundAtom> {
-        let mut atoms = BTreeSet::new();
-        for f in &self.factors {
-            for (key, _) in f.space.events_by_mass() {
-                for model in key.models() {
-                    for atom in model {
-                        if atom.predicate.name() == name {
-                            atoms.insert(atom.clone());
-                        }
-                    }
-                }
-            }
-        }
-        atoms
+        self.factors
+            .iter()
+            .flat_map(|f| f.space.atoms_with_predicate(name))
+            .collect()
     }
 
     /// A deterministic fingerprint of the product space: FNV-1a over the
@@ -685,10 +667,10 @@ impl FactoredOutputSpace {
     }
 }
 
-/// The result of [`crate::Pipeline::solve_factored`]: the flat space when
-/// the program has at most one trigger-bearing component (byte-for-byte
-/// today's path), the factored product otherwise. Queries delegate so
-/// callers need not branch.
+/// The result of [`crate::Pipeline::solve_factored_with_analysis`]: the flat
+/// space when the program has at most one trigger-bearing component
+/// (byte-for-byte today's path), the factored product otherwise. Queries
+/// delegate so callers need not branch.
 pub enum FactoredSolve {
     /// The program did not factor; this is exactly [`crate::Pipeline::solve`]'s
     /// output.
@@ -838,19 +820,7 @@ impl FactoredSolve {
     /// model.
     pub fn atoms_with_predicate(&self, name: &str) -> BTreeSet<GroundAtom> {
         match self {
-            FactoredSolve::Flat(s) => {
-                let mut atoms = BTreeSet::new();
-                for (key, _) in s.events_by_mass() {
-                    for model in key.models() {
-                        for atom in model {
-                            if atom.predicate.name() == name {
-                                atoms.insert(atom.clone());
-                            }
-                        }
-                    }
-                }
-                atoms
-            }
+            FactoredSolve::Flat(s) => s.atoms_with_predicate(name),
             FactoredSolve::Product(p) => p.atoms_with_predicate(name),
         }
     }
@@ -869,6 +839,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::chase::ChaseBudget;
+    use crate::ctx::Ctx;
     use crate::pipeline::Pipeline;
     use crate::program::{coin_program, Program};
     use gdlog_data::{Const, Database, Term};
@@ -924,9 +895,14 @@ mod tests {
     fn independent_coins_split_into_one_component_each() {
         let (program, db) = coin_farm(4, true);
         let pipeline = Pipeline::new(&program, &db).unwrap();
-        let components = analyze(pipeline.sigma(), &ChaseBudget::default())
-            .unwrap()
-            .expect("four independent coins must factor");
+        let components = analyze(
+            pipeline.sigma(),
+            &ChaseBudget::default(),
+            &Ctx::sequential(),
+        )
+        .unwrap()
+        .0
+        .expect("four independent coins must factor");
         assert_eq!(components.len(), 4);
         for c in &components {
             assert_eq!(c.triggers.len(), 1, "one Flip choice per coin");
@@ -945,9 +921,14 @@ mod tests {
     fn coupled_programs_fall_back_to_flat() {
         // The coin program has a single choice: nothing to factor.
         let pipeline = Pipeline::new(&coin_program(), &Database::new()).unwrap();
-        assert!(analyze(pipeline.sigma(), &ChaseBudget::default())
-            .unwrap()
-            .is_none());
+        assert!(analyze(
+            pipeline.sigma(),
+            &ChaseBudget::default(),
+            &Ctx::sequential()
+        )
+        .unwrap()
+        .0
+        .is_none());
 
         // A zero-arity coupler welds all coins into one component.
         let half = Term::Const(Const::real(0.5).expect("finite"));
@@ -972,9 +953,14 @@ mod tests {
             db.insert_fact("Coin", [Const::Int(i)]);
         }
         let pipeline = Pipeline::new(&program, &db).unwrap();
-        assert!(analyze(pipeline.sigma(), &ChaseBudget::default())
-            .unwrap()
-            .is_none());
+        assert!(analyze(
+            pipeline.sigma(),
+            &ChaseBudget::default(),
+            &Ctx::sequential()
+        )
+        .unwrap()
+        .0
+        .is_none());
 
         // Joint-mass cuts do not factorize.
         let (program, db) = coin_farm(3, true);
@@ -983,7 +969,10 @@ mod tests {
             min_path_probability: 0.01,
             ..ChaseBudget::default()
         };
-        assert!(analyze(pipeline.sigma(), &budget).unwrap().is_none());
+        assert!(analyze(pipeline.sigma(), &budget, &Ctx::sequential())
+            .unwrap()
+            .0
+            .is_none());
     }
 
     #[test]
@@ -991,8 +980,12 @@ mod tests {
         // Coin program: one ground Δ-fact, so the static certificate decides
         // without any saturation.
         let pipeline = Pipeline::new(&coin_program(), &Database::new()).unwrap();
-        let (components, verdict) =
-            analyze_with(pipeline.sigma(), &ChaseBudget::default()).unwrap();
+        let (components, verdict) = analyze(
+            pipeline.sigma(),
+            &ChaseBudget::default(),
+            &Ctx::sequential(),
+        )
+        .unwrap();
         assert!(components.is_none());
         assert_eq!(verdict, FactorAnalysis::Static);
         assert_eq!(verdict.label(), "static");
@@ -1001,8 +994,12 @@ mod tests {
         // seeded dynamic analysis finds the four components.
         let (program, db) = coin_farm(4, true);
         let pipeline = Pipeline::new(&program, &db).unwrap();
-        let (components, verdict) =
-            analyze_with(pipeline.sigma(), &ChaseBudget::default()).unwrap();
+        let (components, verdict) = analyze(
+            pipeline.sigma(),
+            &ChaseBudget::default(),
+            &Ctx::sequential(),
+        )
+        .unwrap();
         assert_eq!(verdict, FactorAnalysis::Dynamic);
         assert_eq!(verdict.label(), "dynamic");
         assert_eq!(components.expect("factors").len(), 4);
@@ -1012,7 +1009,7 @@ mod tests {
             min_path_probability: 0.01,
             ..ChaseBudget::default()
         };
-        let (components, verdict) = analyze_with(pipeline.sigma(), &budget).unwrap();
+        let (components, verdict) = analyze(pipeline.sigma(), &budget, &Ctx::sequential()).unwrap();
         assert!(components.is_none());
         assert_eq!(verdict, FactorAnalysis::Static);
     }
@@ -1022,7 +1019,7 @@ mod tests {
         let (program, db) = coin_farm(4, true);
         let pipeline = Pipeline::new(&program, &db).unwrap();
         let flat = pipeline.solve().unwrap();
-        let factored = pipeline.solve_factored().unwrap();
+        let factored = pipeline.solve_factored_with_analysis().unwrap().0;
         assert!(factored.is_factored());
         assert_eq!(factored.factor_count(), 4);
         assert_eq!(factored.combined_outcomes(), 16);
@@ -1079,7 +1076,7 @@ mod tests {
     fn single_component_is_byte_for_byte_flat() {
         let pipeline = Pipeline::new(&coin_program(), &Database::new()).unwrap();
         let flat = pipeline.solve().unwrap();
-        let solved = pipeline.solve_factored().unwrap();
+        let solved = pipeline.solve_factored_with_analysis().unwrap().0;
         assert!(!solved.is_factored());
         assert_eq!(solved.factor_count(), 1);
         let space = solved.as_flat().expect("flat fallback");
@@ -1102,7 +1099,7 @@ mod tests {
         assert!(flat.is_truncated(), "flat must hit the budget");
         assert!(flat.residual_mass().is_positive());
 
-        let factored = pipeline.solve_factored().unwrap();
+        let factored = pipeline.solve_factored_with_analysis().unwrap().0;
         assert!(factored.is_factored());
         assert_eq!(factored.factor_count(), 20);
         assert_eq!(factored.combined_outcomes(), 1u128 << 20);
@@ -1152,7 +1149,7 @@ mod tests {
         db.insert_fact("Coin", [Const::Int(2)]);
         db.insert_fact("Edge", [Const::Int(7), Const::Int(8)]);
         let pipeline = Pipeline::new(&program, &db).unwrap();
-        let factored = pipeline.solve_factored().unwrap();
+        let factored = pipeline.solve_factored_with_analysis().unwrap().0;
         // Two coin factors plus the deterministic base factor.
         assert_eq!(factored.factor_count(), 3);
         assert_eq!(factored.has_stable_model_probability(), Prob::ONE);

@@ -39,6 +39,7 @@ pub mod bckov;
 pub mod builder;
 pub mod chase;
 pub mod compare;
+pub mod ctx;
 pub mod delta;
 pub mod depgraph;
 pub mod error;
@@ -53,7 +54,6 @@ pub mod outcome;
 pub mod perfect_grounder;
 pub mod pipeline;
 pub mod program;
-pub mod query;
 pub mod rule;
 pub mod semantics;
 pub mod simple_grounder;
@@ -70,10 +70,10 @@ pub use api::{
 pub use bckov::{bckov_output, isomorphic_to_bckov, BckovOutcome, BckovOutput};
 pub use builder::{ProgramBuilder, RuleBuilder};
 pub use chase::{
-    enumerate_outcomes, enumerate_outcomes_cancellable, enumerate_outcomes_with, ChaseBudget,
-    ChaseResult, TriggerOrder,
+    enumerate_outcomes, enumerate_outcomes_in, ChaseBudget, ChaseResult, TriggerOrder,
 };
 pub use compare::{as_good_as, compare_outputs, SemanticsComparison};
+pub use ctx::Ctx;
 pub use delta::DeltaTerm;
 pub use depgraph::{dependency_graph, stratification, DependencyGraph, Stratification};
 pub use error::CoreError;
@@ -93,10 +93,6 @@ pub use pipeline::{GrounderChoice, McParams, Pipeline};
 pub use program::{
     coin_program, dime_quarter_program, network_resilience_program, Program, AUX_PREDICATE,
     FAIL_PREDICATE,
-};
-pub use query::{
-    brave_fact_probability, brave_probability, cautious_fact_probability, cautious_probability,
-    has_stable_model_probability,
 };
 pub use rule::{Head, HeadTerm, Rule};
 pub use semantics::OutputSpace;

@@ -351,7 +351,10 @@ mod tests {
         let limits = StableModelLimits::default();
         let stats = mc
             .estimate(4000, |outcome| {
-                !outcome.stable_models(&limits).unwrap().is_empty()
+                !outcome
+                    .stable_models(&limits, &CancelToken::never())
+                    .unwrap()
+                    .is_empty()
             })
             .unwrap();
         assert_eq!(stats.abandoned, 0);
@@ -460,7 +463,12 @@ mod tests {
     fn parallel_estimates_are_bit_identical_to_sequential() {
         let grounder = network_grounder(3);
         let limits = StableModelLimits::default();
-        let event = |outcome: &PossibleOutcome| !outcome.stable_models(&limits).unwrap().is_empty();
+        let event = |outcome: &PossibleOutcome| {
+            !outcome
+                .stable_models(&limits, &CancelToken::never())
+                .unwrap()
+                .is_empty()
+        };
         let mut sequential = MonteCarlo::new(&grounder, 100, 11);
         let base = sequential.estimate(500, event).unwrap();
         for threads in [2, 3, 8] {

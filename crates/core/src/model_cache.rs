@@ -16,10 +16,11 @@
 //! definition, so a cache hit can never change a result, at any thread
 //! count.
 //!
-//! Hit/miss counters are kept for observability
-//! ([`crate::Pipeline::stable_cache_stats`]) and are counted once per
-//! outcome during the sequential keying pass of
-//! [`crate::OutputSpace::from_chase_with`], so they are deterministic across
+//! A cache reaches the keying pass through [`crate::Ctx::cache`]; every
+//! [`crate::Pipeline`] puts its own in its context. Hit/miss counters are
+//! kept for observability ([`crate::Pipeline::stable_cache_stats`]) and are
+//! counted once per outcome during the sequential keying pass of
+//! [`crate::OutputSpace::from_chase`], so they are deterministic across
 //! executors.
 
 use crate::grounding::AtrRule;
@@ -79,8 +80,8 @@ impl ModelCacheStats {
 }
 
 /// A thread-safe memo table from [`ProgramFingerprint`]s to the induced
-/// [`ModelSetKey`]s, shared by every [`crate::OutputSpace::from_chase_with`]
-/// call that is handed the same cache (e.g. all solves of one
+/// [`ModelSetKey`]s, shared by every [`crate::OutputSpace::from_chase`] call
+/// whose [`crate::Ctx`] holds the same cache (e.g. all solves of one
 /// [`crate::Pipeline`]).
 ///
 /// Only successful searches are cached; [`gdlog_engine::StableError`]s
@@ -126,7 +127,7 @@ impl ModelSetCache {
         self.len() == 0
     }
 
-    /// Add to the hit/miss counters (called once per `from_chase_with`).
+    /// Add to the hit/miss counters (called once per `from_chase`).
     pub(crate) fn record(&self, hits: usize, misses: usize) {
         self.hits.fetch_add(hits, Ordering::Relaxed);
         self.misses.fetch_add(misses, Ordering::Relaxed);

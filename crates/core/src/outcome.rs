@@ -10,9 +10,7 @@
 use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet};
 use gdlog_data::{Database, GroundAtom};
-use gdlog_engine::{
-    stable_models, stable_models_with_cancel, CancelToken, GroundProgram, StableModelLimits,
-};
+use gdlog_engine::{stable_models, CancelToken, GroundProgram, StableModelLimits};
 use gdlog_prob::Prob;
 use std::fmt;
 
@@ -157,40 +155,25 @@ impl PossibleOutcome {
         p
     }
 
-    /// Compute `sms(Σ ∪ G(Σ))`.
-    pub fn stable_models(&self, limits: &StableModelLimits) -> Result<Vec<Database>, CoreError> {
-        Ok(stable_models(&self.full_program(), limits)?)
-    }
-
-    /// [`Self::stable_models`] with a cooperative cancellation token. A
-    /// cancelled search returns [`CoreError::Interrupted`] — stable-model
-    /// enumeration is exact-or-nothing, so there is no partial result to
-    /// degrade to.
-    pub fn stable_models_cancellable(
+    /// Compute `sms(Σ ∪ G(Σ))`, observing `cancel`. A cancelled search
+    /// returns [`CoreError::Interrupted`] — stable-model enumeration is
+    /// exact-or-nothing, so there is no partial result to degrade to.
+    pub fn stable_models(
         &self,
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<Vec<Database>, CoreError> {
-        Ok(stable_models_with_cancel(
-            &self.full_program(),
-            limits,
-            cancel,
-        )?)
+        Ok(stable_models(&self.full_program(), limits, cancel)?)
     }
 
     /// Compute the event key of the outcome (its set of stable models).
-    pub fn model_set_key(&self, limits: &StableModelLimits) -> Result<ModelSetKey, CoreError> {
-        Ok(ModelSetKey::from_models(&self.stable_models(limits)?))
-    }
-
-    /// [`Self::model_set_key`] with a cooperative cancellation token.
-    pub fn model_set_key_cancellable(
+    pub fn model_set_key(
         &self,
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<ModelSetKey, CoreError> {
         Ok(ModelSetKey::from_models(
-            &self.stable_models_cancellable(limits, cancel)?,
+            &self.stable_models(limits, cancel)?,
         ))
     }
 
@@ -315,11 +298,11 @@ mod tests {
         assert_eq!(outcome.rule_count(), 0);
         assert_eq!(outcome.full_program().len(), 0);
         let models = outcome
-            .stable_models(&StableModelLimits::default())
+            .stable_models(&StableModelLimits::default(), &CancelToken::never())
             .unwrap();
         assert_eq!(models, vec![Database::new()]);
         let key = outcome
-            .model_set_key(&StableModelLimits::default())
+            .model_set_key(&StableModelLimits::default(), &CancelToken::never())
             .unwrap();
         assert_eq!(key.model_count(), 1);
         assert!(outcome.to_string().contains("Pr = 1/2"));

@@ -11,7 +11,8 @@
 //! ([`Grounder::ground_from`]). See `ARCHITECTURE.md` at the repository root
 //! for the invariants.
 
-use crate::chase::{enumerate_outcomes_cancellable, ChaseBudget, ChaseResult, TriggerOrder};
+use crate::chase::{enumerate_outcomes_in, ChaseBudget, ChaseResult, TriggerOrder};
+use crate::ctx::Ctx;
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::factor::{
@@ -99,18 +100,13 @@ pub struct Pipeline {
     budget: ChaseBudget,
     order: TriggerOrder,
     limits: StableModelLimits,
-    /// Shared so a resident [`crate::api::Solver`] can run many pipelines
-    /// (one per solve configuration) on one pool.
-    executor: Arc<Executor>,
-    /// Memo table for `sms(Σ ∪ G(Σ))` across outcomes and across repeated
-    /// [`Pipeline::solve`] calls, keyed by the outcomes' canonical program
-    /// fingerprints (hits can never change a result — equal fingerprints
-    /// mean equal programs).
-    stable_cache: ModelSetCache,
-    /// Cooperative cancellation token observed at every chase node, every
-    /// grounding saturation round, every stable-model branch decision and
-    /// every Monte-Carlo walk boundary. Defaults to a token that never fires.
-    cancel: CancelToken,
+    /// The executor (shared so a resident [`crate::api::Solver`] can run
+    /// many pipelines on one pool), the cancellation token (also observed at
+    /// every Monte-Carlo walk boundary; defaults to one that never fires)
+    /// and the memo table for `sms(Σ ∪ G(Σ))` across outcomes and across
+    /// repeated [`Pipeline::solve`] calls — hits can never change a result,
+    /// since equal fingerprints mean equal programs.
+    ctx: Ctx,
 }
 
 impl Pipeline {
@@ -161,9 +157,8 @@ impl Pipeline {
             // bit-identical either way, so the env knob (and the CI thread
             // matrix built on it) can parallelize every pipeline consumer
             // without touching call sites.
-            executor: Arc::new(Executor::from_env()),
-            stable_cache: ModelSetCache::new(),
-            cancel: CancelToken::never(),
+            ctx: Ctx::new(Arc::new(Executor::from_env()))
+                .with_cache(Arc::new(ModelSetCache::new())),
         })
     }
 
@@ -185,19 +180,11 @@ impl Pipeline {
         self
     }
 
-    /// Explore the chase tree (and fan Monte-Carlo walks out) with this many
-    /// worker threads. `1` is sequential, `0` means one thread per available
-    /// CPU. Results are bit-identical for every value — the thread count
-    /// only changes wall-clock time.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.executor = Arc::new(Executor::new(threads));
-        self
-    }
-
     /// Run on a shared executor (the server multiplexes every session's
-    /// pipelines onto one pool this way).
+    /// pipelines onto one pool this way). Results are bit-identical for
+    /// every executor — the thread count only changes wall-clock time.
     pub fn with_executor(mut self, executor: Arc<Executor>) -> Self {
-        self.executor = executor;
+        self.ctx.executor = executor;
         self
     }
 
@@ -209,18 +196,8 @@ impl Pipeline {
     /// their next round.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.grounder.set_cancel(cancel.clone());
-        self.cancel = cancel;
+        self.ctx.cancel = cancel;
         self
-    }
-
-    /// The pipeline's cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
-    /// The execution policy in use.
-    pub fn executor(&self) -> &Executor {
-        &self.executor
     }
 
     /// The translated program.
@@ -235,13 +212,7 @@ impl Pipeline {
 
     /// Run the chase enumeration only.
     pub fn chase(&self) -> Result<ChaseResult, CoreError> {
-        enumerate_outcomes_cancellable(
-            self.grounder.as_ref(),
-            &self.budget,
-            self.order,
-            &self.executor,
-            &self.cancel,
-        )
+        enumerate_outcomes_in(self.grounder.as_ref(), &self.budget, self.order, &self.ctx)
     }
 
     /// Run the full pipeline: chase, stable models, output space.
@@ -261,48 +232,35 @@ impl Pipeline {
     /// chase's own statistics — `nodes_visited` — can run the halves
     /// separately without re-chasing).
     pub fn space_from_chase(&self, chase: ChaseResult) -> Result<OutputSpace, CoreError> {
-        OutputSpace::from_chase_cancellable(
-            chase,
-            &self.limits,
-            &self.executor,
-            Some(&self.stable_cache),
-            &self.cancel,
-        )
+        OutputSpace::from_chase(chase, &self.limits, &self.ctx)
     }
 
     /// Hit/miss counters of the stable-model memo table, accumulated over
     /// every [`Pipeline::solve`] call on this pipeline.
     pub fn stable_cache_stats(&self) -> ModelCacheStats {
-        self.stable_cache.stats()
-    }
-
-    /// The stable-model memo table itself (shared across flat and factored
-    /// solves on this pipeline).
-    pub fn stable_cache(&self) -> &ModelSetCache {
-        &self.stable_cache
+        self.ctx
+            .cache
+            .as_ref()
+            .map_or_else(Default::default, |c| c.stats())
     }
 
     /// The chase-independence analysis for this pipeline's program and
     /// budget: the components an independent per-component chase would run,
-    /// or `None` when the program should take the flat path.
-    pub fn factor_components(&self) -> Result<Option<Vec<ChaseComponent>>, CoreError> {
-        factor::analyze(&self.sigma, &self.budget)
-    }
-
-    /// [`Pipeline::factor_components`] plus the [`FactorAnalysis`] verdict:
-    /// `Static` when the predicate-level analysis alone decided (no universe
-    /// saturation ran), `Dynamic` when the saturation-based analysis ran,
-    /// seeded by the static components.
+    /// or `None` when the program should take the flat path, plus the
+    /// [`FactorAnalysis`] verdict — `Static` when the predicate-level
+    /// analysis alone decided (no universe saturation ran), `Dynamic` when
+    /// the saturation-based analysis ran, seeded by the static components.
     pub fn factor_analysis(
         &self,
     ) -> Result<(Option<Vec<ChaseComponent>>, FactorAnalysis), CoreError> {
-        factor::analyze_cancellable(&self.sigma, &self.budget, &self.cancel)
+        factor::analyze(&self.sigma, &self.budget, &self.ctx)
     }
 
-    /// How many independent factors [`Pipeline::solve_factored`] would use
-    /// (one on the flat path).
+    /// How many independent factors
+    /// [`Pipeline::solve_factored_with_analysis`] would use (one on the flat
+    /// path).
     pub fn factor_count(&self) -> Result<usize, CoreError> {
-        Ok(self.factor_components()?.map_or(1, |c| c.len()))
+        Ok(self.factor_analysis()?.0.map_or(1, |c| c.len()))
     }
 
     /// Run the full pipeline with front-of-pipeline factorization: when the
@@ -318,13 +276,9 @@ impl Pipeline {
     /// undefined trigger, and in a component chase every *other* component's
     /// `Active` atoms stay undefined forever by design. Stable-model solving
     /// per factor reuses the pipeline's executor, limits and memo table.
-    pub fn solve_factored(&self) -> Result<FactoredSolve, CoreError> {
-        self.solve_factored_with_analysis().map(|(solve, _)| solve)
-    }
-
-    /// [`Pipeline::solve_factored`] plus the [`FactorAnalysis`] verdict
-    /// (reported by the CLI as `analysis: static|dynamic`). The solve result
-    /// is identical either way; the verdict only records whether universe
+    ///
+    /// The [`FactorAnalysis`] verdict is reported by the CLI as
+    /// `analysis: static|dynamic`; it only records whether universe
     /// saturation could be skipped.
     pub fn solve_factored_with_analysis(
         &self,
@@ -334,25 +288,13 @@ impl Pipeline {
             return Ok((FactoredSolve::Flat(self.solve()?), analysis));
         };
         let mut simple = SimpleGrounder::new(self.sigma.clone());
-        simple.set_cancel(self.cancel.clone());
+        simple.set_cancel(self.ctx.cancel.clone());
         let mut factors = Vec::with_capacity(components.len());
         for component in components {
             let grounder = ComponentGrounder::new(&simple, &component.triggers);
-            let chase = enumerate_outcomes_cancellable(
-                &grounder,
-                &self.budget,
-                self.order,
-                &self.executor,
-                &self.cancel,
-            )?;
+            let chase = enumerate_outcomes_in(&grounder, &self.budget, self.order, &self.ctx)?;
             let chase = factor::restrict_outcomes(chase, &component.atoms);
-            let space = OutputSpace::from_chase_cancellable(
-                chase,
-                &self.limits,
-                &self.executor,
-                Some(&self.stable_cache),
-                &self.cancel,
-            )?;
+            let space = OutputSpace::from_chase(chase, &self.limits, &self.ctx)?;
             factors.push(Factor {
                 atoms: component.atoms,
                 space,
@@ -364,17 +306,12 @@ impl Pipeline {
         ))
     }
 
-    /// A Monte-Carlo estimator over the same grounder (sharing the
-    /// pipeline's executor) with the default [`McParams`].
-    pub fn sampler(&self) -> MonteCarlo<'_> {
-        self.sampler_with(McParams::new())
-    }
-
-    /// A Monte-Carlo estimator with explicit [`McParams`].
+    /// A Monte-Carlo estimator over the same grounder, sharing the
+    /// pipeline's executor and cancellation token.
     pub fn sampler_with(&self, params: McParams) -> MonteCarlo<'_> {
         MonteCarlo::new(self.grounder.as_ref(), params.max_triggers, params.seed)
-            .with_executor(&self.executor)
-            .with_cancel(self.cancel.clone())
+            .with_executor(&self.ctx.executor)
+            .with_cancel(self.ctx.cancel.clone())
     }
 }
 
@@ -462,7 +399,7 @@ mod tests {
         // A parallel pipeline produces a bit-identical output space.
         let par = Pipeline::new(&network_resilience_program(0.1), &network_db())
             .unwrap()
-            .threads(4);
+            .with_executor(Arc::new(Executor::new(4)));
         assert_eq!(
             par.solve().unwrap().events_by_mass(),
             first.events_by_mass()
@@ -493,8 +430,6 @@ mod tests {
             .unwrap();
         assert_eq!(again.estimate.mean, stats.estimate.mean);
         assert_eq!(again.abandoned, stats.abandoned);
-        // Default params are a plain sampler.
         assert_eq!(McParams::default(), McParams::new());
-        let _ = pipeline.sampler();
     }
 }

@@ -9,14 +9,14 @@
 //! countable additivity for unions.
 
 use crate::chase::ChaseResult;
+use crate::ctx::Ctx;
 use crate::error::CoreError;
-use crate::exec::Executor;
-use crate::model_cache::{ModelSetCache, ProgramFingerprint};
+use crate::model_cache::ProgramFingerprint;
 use crate::outcome::{ModelSetKey, PossibleOutcome};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{CancelToken, StableModelLimits};
 use gdlog_prob::{EventPartition, Prob};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::OnceLock;
 
 /// The output of a GDatalog¬\[Δ\] program on a database relative to a
@@ -33,16 +33,8 @@ pub struct OutputSpace {
 
 impl OutputSpace {
     /// Build the output space from a chase enumeration by computing the
-    /// stable models of every explored outcome (sequentially, with no
-    /// memoization; see [`OutputSpace::from_chase_with`] for the parallel,
-    /// cached entry point used by [`crate::Pipeline::solve`]).
-    pub fn from_chase(result: &ChaseResult, limits: &StableModelLimits) -> Result<Self, CoreError> {
-        Self::from_chase_with(result.clone(), limits, &Executor::sequential(), None)
-    }
-
-    /// Build the output space from an owned chase enumeration, fanning the
-    /// per-outcome stable-model searches out to `executor` and memoizing
-    /// them in `cache`.
+    /// stable models of every explored outcome, fanning the per-outcome
+    /// searches out to `ctx`'s executor and memoizing them in its cache.
     ///
     /// Outcomes are first keyed by their [`ProgramFingerprint`] in outcome
     /// order — outcomes inducing the same ground program (and entries of a
@@ -52,23 +44,12 @@ impl OutputSpace {
     /// and the first error surfaced, is **bit-identical across executors**:
     /// the merge order, the partition aggregation and the deterministic
     /// hit/miss accounting never depend on task scheduling.
-    pub fn from_chase_with(
-        result: ChaseResult,
-        limits: &StableModelLimits,
-        executor: &Executor,
-        cache: Option<&ModelSetCache>,
-    ) -> Result<Self, CoreError> {
-        Self::from_chase_cancellable(result, limits, executor, cache, &CancelToken::never())
-    }
-
-    /// [`OutputSpace::from_chase_with`] observing a cooperative cancellation
-    /// token in the per-outcome stable-model searches.
     ///
-    /// Two regimes:
+    /// Two cancellation regimes:
     ///
     /// * **Chase completed or hit its budget** (`result.interrupted` false):
-    ///   the token is threaded into every stable-model search, and a firing
-    ///   deadline surfaces as [`CoreError::Interrupted`] — keying is
+    ///   `ctx`'s token is threaded into every stable-model search, and a
+    ///   firing deadline surfaces as [`CoreError::Interrupted`] — keying is
     ///   exact-or-nothing.
     /// * **Chase was cut by the token** (`result.interrupted` true): the
     ///   enumeration is already a graceful partial result whose residual
@@ -76,12 +57,10 @@ impl OutputSpace {
     ///   observing* the (already fired) token and keys the explored outcomes
     ///   to completion. The cost is bounded by the outcomes explored before
     ///   the cut.
-    pub fn from_chase_cancellable(
+    pub fn from_chase(
         result: ChaseResult,
         limits: &StableModelLimits,
-        executor: &Executor,
-        cache: Option<&ModelSetCache>,
-        cancel: &CancelToken,
+        ctx: &Ctx,
     ) -> Result<Self, CoreError> {
         let ChaseResult {
             outcomes,
@@ -93,8 +72,9 @@ impl OutputSpace {
         let cancel = if interrupted {
             CancelToken::never()
         } else {
-            cancel.clone()
+            ctx.cancel.clone()
         };
+        let cache = ctx.cache.as_deref();
 
         // Sequential keying pass: map every outcome to either an
         // already-known key or a slot in the distinct-program work list.
@@ -141,10 +121,10 @@ impl OutputSpace {
         let limits = *limits;
         let cells: Vec<OnceLock<Result<ModelSetKey, CoreError>>> =
             work.iter().map(|_| OnceLock::new()).collect();
-        match executor.pool() {
+        match ctx.executor.pool() {
             None => {
                 for (cell, &i) in cells.iter().zip(&work) {
-                    let _ = cell.set(outcomes[i].model_set_key_cancellable(&limits, &cancel));
+                    let _ = cell.set(outcomes[i].model_set_key(&limits, &cancel));
                 }
             }
             Some(pool) => {
@@ -153,8 +133,7 @@ impl OutputSpace {
                 pool.scope(|scope| {
                     for (cell, &i) in cells.iter().zip(&work) {
                         scope.spawn(move |_| {
-                            let _ =
-                                cell.set(outcomes[i].model_set_key_cancellable(&limits, cancel));
+                            let _ = cell.set(outcomes[i].model_set_key(&limits, cancel));
                         });
                     }
                 });
@@ -270,6 +249,18 @@ impl OutputSpace {
         self.probability_where(|k| k.brave(atom))
     }
 
+    /// Every atom with the given predicate name occurring in any stable
+    /// model (for marginal reports).
+    pub fn atoms_with_predicate(&self, name: &str) -> BTreeSet<GroundAtom> {
+        self.partition
+            .iter()
+            .flat_map(|(key, _)| key.models())
+            .flatten()
+            .filter(|atom| atom.predicate.name() == name)
+            .cloned()
+            .collect()
+    }
+
     /// The events with their masses, sorted by decreasing mass (ties broken
     /// by the key order) — convenient for reports.
     ///
@@ -333,7 +324,7 @@ mod tests {
         let grounder = SimpleGrounder::new(Arc::new(SigmaPi::translate(program, db).unwrap()));
         let chase =
             enumerate_outcomes(&grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
-        OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap()
+        OutputSpace::from_chase(chase, &StableModelLimits::default(), &Ctx::sequential()).unwrap()
     }
 
     #[test]
@@ -384,16 +375,17 @@ mod tests {
         let grounder = SimpleGrounder::new(Arc::new(SigmaPi::translate(&program, &db).unwrap()));
         let chase =
             enumerate_outcomes(&grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
-        let seq = OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap();
-        let cache = crate::ModelSetCache::new();
+        let seq = OutputSpace::from_chase(
+            chase.clone(),
+            &StableModelLimits::default(),
+            &Ctx::sequential(),
+        )
+        .unwrap();
+        let cache = Arc::new(crate::ModelSetCache::new());
         for threads in [1, 2, 8] {
-            let par = OutputSpace::from_chase_with(
-                chase.clone(),
-                &StableModelLimits::default(),
-                &crate::Executor::new(threads),
-                Some(&cache),
-            )
-            .unwrap();
+            let ctx = Ctx::new(Arc::new(crate::Executor::new(threads))).with_cache(cache.clone());
+            let par = OutputSpace::from_chase(chase.clone(), &StableModelLimits::default(), &ctx)
+                .unwrap();
             assert_eq!(par.events_by_mass(), seq.events_by_mass());
             assert_eq!(par.outcome_count(), seq.outcome_count());
             assert_eq!(par.residual_mass(), seq.residual_mass());
@@ -408,6 +400,30 @@ mod tests {
         assert!(stats.hits >= 2 * chase.outcomes.len());
         assert!(stats.hit_rate() > 0.5);
         assert_eq!(cache.len(), stats.misses);
+    }
+
+    #[test]
+    fn fact_queries_on_the_three_router_network() {
+        let s = output_for(&network_resilience_program(0.1), &network_db());
+        let fact = |name: &str, args: [i64; 2]| {
+            GroundAtom::make(name, args.iter().map(|&i| Const::Int(i)).collect())
+        };
+        // Infected(1,1) is a database fact: it holds in every stable model,
+        // so its cautious probability equals the domination probability.
+        let infected11 = fact("Infected", [1, 1]);
+        assert_eq!(s.cautious_probability(&infected11), Prob::ratio(19, 100));
+        assert_eq!(s.brave_probability(&infected11), Prob::ratio(19, 100));
+        // A nonsense fact has probability zero.
+        assert_eq!(s.brave_probability(&fact("Infected", [9, 1])), Prob::ZERO);
+        // Router 2 is infected in some dominated worlds but not all of them.
+        let infected21 = fact("Infected", [2, 1]);
+        let brave2 = s.brave_probability(&infected21);
+        assert!(brave2.to_f64() > 0.0);
+        assert!(s.cautious_probability(&infected21).to_f64() <= brave2.to_f64());
+        // Marginal listing: every Infected atom of any stable model.
+        let infected = s.atoms_with_predicate("Infected");
+        assert!(infected.contains(&infected11) && infected.contains(&infected21));
+        assert!(!infected.contains(&fact("Infected", [9, 1])));
     }
 
     #[test]

@@ -41,9 +41,7 @@ pub use ground::{GroundProgram, GroundRule};
 pub use least_model::least_model;
 pub use naive_stable::naive_stable_models;
 pub use reduct::reduct;
-pub use stable::{
-    is_stable_model, stable_models, stable_models_with_cancel, StableError, StableModelLimits,
-};
+pub use stable::{is_stable_model, stable_models, StableError, StableModelLimits};
 pub use stratified::{stratified_model, StratifiedError};
 pub use wellfounded::{well_founded, WellFounded};
 

@@ -124,19 +124,13 @@ pub fn is_stable_model(program: &GroundProgram, interpretation: &Database) -> bo
 ///
 /// The result is returned in a canonical (sorted) order so that callers can
 /// compare sets of stable models structurally.
+///
+/// `cancel` is polled on entry, once per branch decision, per component and
+/// per cross-product step, so a cancellation request surfaces as
+/// [`StableError::Interrupted`] within one unit of search work. The
+/// enumeration stays exact-or-nothing — a cancelled search never returns a
+/// partial model set. Pass [`CancelToken::never`] to search unconditionally.
 pub fn stable_models(
-    program: &GroundProgram,
-    limits: &StableModelLimits,
-) -> Result<Vec<Database>, StableError> {
-    stable_models_with_cancel(program, limits, &CancelToken::never())
-}
-
-/// [`stable_models`] with a cooperative [`CancelToken`]: the token is polled
-/// once per branch decision, per component, and per cross-product step, so a
-/// cancellation request surfaces as [`StableError::Interrupted`] within one
-/// unit of search work. The enumeration stays exact-or-nothing — a cancelled
-/// search never returns a partial model set.
-pub fn stable_models_with_cancel(
     program: &GroundProgram,
     limits: &StableModelLimits,
     cancel: &CancelToken,
@@ -778,7 +772,7 @@ mod tests {
     }
 
     fn models(p: &GroundProgram) -> Vec<Database> {
-        let ms = stable_models(p, &StableModelLimits::default()).unwrap();
+        let ms = stable_models(p, &StableModelLimits::default(), &CancelToken::never()).unwrap();
         // Every path through the new enumerator is cross-checked against the
         // retained naive oracle.
         assert_eq!(
@@ -931,7 +925,7 @@ mod tests {
             max_models: 100,
         };
         assert!(matches!(
-            stable_models(&chained, &tight),
+            stable_models(&chained, &tight, &CancelToken::never()),
             Err(StableError::TooManyBranchAtoms { found: 6, limit: 4 })
         ));
 
@@ -955,7 +949,7 @@ mod tests {
             max_models: 10,
         };
         assert!(matches!(
-            stable_models(&p, &tight_models),
+            stable_models(&p, &tight_models, &CancelToken::never()),
             Err(StableError::TooManyModels { limit: 10 })
         ));
     }
@@ -985,7 +979,7 @@ mod tests {
         // 2^30 models overflow max_models — reported as such, not as a
         // branching failure, and without enumerating 2^30 leaves.
         assert!(matches!(
-            stable_models(&p, &limits),
+            stable_models(&p, &limits, &CancelToken::never()),
             Err(StableError::TooManyModels { limit: 100 })
         ));
         assert!(matches!(
@@ -1006,7 +1000,10 @@ mod tests {
             vec![atom1("Out", 0)],
             vec![atom1("Boom", 0)],
         ));
-        assert_eq!(stable_models(&p, &limits).unwrap(), Vec::<Database>::new());
+        assert_eq!(
+            stable_models(&p, &limits, &CancelToken::never()).unwrap(),
+            Vec::<Database>::new()
+        );
     }
 
     #[test]

@@ -75,6 +75,7 @@ pub fn stratified_model(program: &GroundProgram) -> Result<Database, StratifiedE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::stable::{is_stable_model, stable_models, StableModelLimits};
     use gdlog_data::{Const, GroundAtom};
 
@@ -134,7 +135,7 @@ mod tests {
         assert!(m.contains(&atom1("U", 3)));
         // Cross-check against the generic solver.
         assert!(is_stable_model(&p, &m));
-        let all = stable_models(&p, &StableModelLimits::default()).unwrap();
+        let all = stable_models(&p, &StableModelLimits::default(), &CancelToken::never()).unwrap();
         assert_eq!(all, vec![m]);
     }
 
@@ -172,7 +173,7 @@ mod tests {
         assert!(!m.contains(&atom1("TossQuarter", 3)));
 
         // The unique stable model coincides with the generic enumeration.
-        let all = stable_models(&p, &StableModelLimits::default()).unwrap();
+        let all = stable_models(&p, &StableModelLimits::default(), &CancelToken::never()).unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0], m);
     }
@@ -208,7 +209,8 @@ mod tests {
         ];
         for p in programs {
             let m = stratified_model(&p).unwrap();
-            let all = stable_models(&p, &StableModelLimits::default()).unwrap();
+            let all =
+                stable_models(&p, &StableModelLimits::default(), &CancelToken::never()).unwrap();
             assert_eq!(all, vec![m]);
         }
     }

@@ -140,6 +140,7 @@ mod tests {
 
     #[test]
     fn wfm_true_atoms_are_in_every_stable_model() {
+        use crate::cancel::CancelToken;
         use crate::stable::{stable_models, StableModelLimits};
         let p = GroundProgram::from_rules(vec![
             GroundRule::fact(atom("F")),
@@ -149,7 +150,8 @@ mod tests {
             GroundRule::new(atom("C"), vec![atom("b")], vec![]),
         ]);
         let wf = well_founded(&p);
-        let models = stable_models(&p, &StableModelLimits::default()).unwrap();
+        let models =
+            stable_models(&p, &StableModelLimits::default(), &CancelToken::never()).unwrap();
         assert_eq!(models.len(), 2);
         for t in wf.true_atoms.iter() {
             for m in &models {

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example network_resilience`
 
-use gdlog::core::{network_resilience_program, McParams, Pipeline};
+use gdlog::core::{network_resilience_program, CancelToken, McParams, Pipeline};
 use gdlog::data::{Const, Database};
 use gdlog_engine::StableModelLimits;
 
@@ -52,7 +52,10 @@ fn main() {
         let mut mc = pipeline.sampler_with(McParams::new().with_max_triggers(512).with_seed(2023));
         let stats = mc
             .estimate(500, |outcome| {
-                !outcome.stable_models(&limits).unwrap().is_empty()
+                !outcome
+                    .stable_models(&limits, &CancelToken::never())
+                    .unwrap()
+                    .is_empty()
             })
             .unwrap();
         println!(

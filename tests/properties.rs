@@ -8,9 +8,9 @@
 //! See `tests/README.md`.
 
 use gdlog::core::{
-    coin_program, dime_quarter_program, enumerate_outcomes, enumerate_outcomes_with,
-    network_resilience_program, AtrRule, AtrSet, ChaseBudget, Executor, Grounder, ModelSetCache,
-    ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace,
+    coin_program, dime_quarter_program, enumerate_outcomes, enumerate_outcomes_in,
+    network_resilience_program, AtrRule, AtrSet, CancelToken, ChaseBudget, Ctx, Executor, Grounder,
+    ModelSetCache, ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace,
     PerfectGrounder, Pipeline, SigmaPi, SimpleGrounder, StaticComponents, TriggerOrder,
 };
 use gdlog::prelude::*;
@@ -88,7 +88,7 @@ proptest! {
     /// well-founded model are respected.
     #[test]
     fn stable_models_satisfy_their_definition(program in ground_program()) {
-        let models = stable_models(&program, &StableModelLimits::default()).unwrap();
+        let models = stable_models(&program, &StableModelLimits::default(), &CancelToken::never()).unwrap();
         let wf = well_founded(&program);
         for m in &models {
             prop_assert!(is_stable_model(&program, m));
@@ -250,7 +250,7 @@ fn outcome_fingerprints(
         .iter()
         .map(|o| {
             let mut models: Vec<Vec<GroundAtom>> = o
-                .stable_models(limits)
+                .stable_models(limits, &CancelToken::never())
                 .expect("stable model search succeeds")
                 .iter()
                 .map(|m| m.canonical_atoms())
@@ -433,10 +433,9 @@ proptest! {
                 let sequential =
                     enumerate_outcomes(grounder, budget, TriggerOrder::First).unwrap();
                 for threads in THREAD_SWEEP {
-                    let executor = Executor::new(threads);
+                    let ctx = Ctx::new(Arc::new(Executor::new(threads)));
                     let parallel =
-                        enumerate_outcomes_with(grounder, budget, TriggerOrder::First, &executor)
-                            .unwrap();
+                        enumerate_outcomes_in(grounder, budget, TriggerOrder::First, &ctx).unwrap();
                     // The shared strict definition of "bit-identical":
                     // outcome order, choice sets, exact probabilities,
                     // residual mass, truncation and node count.
@@ -600,7 +599,7 @@ proptest! {
     #[test]
     fn scc_search_equals_naive_enumerator(program in looped_ground_program()) {
         let wide = StableModelLimits { max_branch_atoms: 64, max_models: 100_000 };
-        let fast = stable_models(&program, &wide).unwrap();
+        let fast = stable_models(&program, &wide, &CancelToken::never()).unwrap();
         let naive = naive_stable_models(&program, &wide).unwrap();
         prop_assert_eq!(&fast, &naive);
         for m in &fast {
@@ -610,7 +609,7 @@ proptest! {
 
         let tight = StableModelLimits { max_branch_atoms: 64, max_models: 2 };
         prop_assert_eq!(
-            stable_models(&program, &tight),
+            stable_models(&program, &tight, &CancelToken::never()),
             naive_stable_models(&program, &tight)
         );
     }
@@ -846,7 +845,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Tentpole equivalence for the factorized pipeline: on random programs
-    /// planted with independent islands, `solve_factored` must agree with
+    /// planted with independent islands, `solve_factored_with_analysis` must agree with
     /// the flat enumeration *exactly* — same `P(sms ≠ ∅)`, explored and
     /// residual mass, outcome/event counts, per-event masses, per-atom brave
     /// and cautious probabilities, cross-island conjunctions and the full
@@ -869,7 +868,8 @@ proptest! {
         // The flat oracle, solved once WITHOUT any memo cache.
         let oracle = Pipeline::new(&program, &db).unwrap();
         let chase = oracle.chase().unwrap();
-        let flat = OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap();
+        let flat =
+            OutputSpace::from_chase(chase, &StableModelLimits::default(), &Ctx::sequential()).unwrap();
         let flat_events = flat.events_by_mass();
         let flat_canon = canon_events(&flat_events);
 
@@ -886,10 +886,12 @@ proptest! {
         let probe: Vec<GroundAtom> = seen.iter().step_by(stride).cloned().collect();
 
         for threads in THREAD_SWEEP {
-            let pipeline = Pipeline::new(&program, &db).unwrap().threads(threads);
-            let cold = pipeline.solve_factored().unwrap();
+            let pipeline = Pipeline::new(&program, &db)
+                .unwrap()
+                .with_executor(Arc::new(Executor::new(threads)));
+            let cold = pipeline.solve_factored_with_analysis().unwrap().0;
             let stats_after_cold = pipeline.stable_cache_stats();
-            let warm = pipeline.solve_factored().unwrap();
+            let warm = pipeline.solve_factored_with_analysis().unwrap().0;
             // Everything the warm run solves was memoized by the cold run.
             prop_assert_eq!(
                 pipeline.stable_cache_stats().misses,
@@ -961,7 +963,7 @@ proptest! {
     /// Soundness of the grounding-free independence prediction: the static
     /// predicate-level components ([`StaticComponents`]) over-approximate
     /// the dynamic saturation-based analysis — on planted island programs,
-    /// every trigger-bearing component `Pipeline::factor_components`
+    /// every trigger-bearing component `Pipeline::factor_analysis`
     /// discovers has all its universe atoms (and all its triggers) inside
     /// exactly ONE static component, at every thread count. The dynamic
     /// analysis may refine (split) a static component at the ground level,
@@ -984,9 +986,11 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("planted program failed to parse: {e}\n{text}")))?;
 
         for threads in [1usize, 8] {
-            let pipeline = Pipeline::new(&program, &db).unwrap().threads(threads);
+            let pipeline = Pipeline::new(&program, &db)
+                .unwrap()
+                .with_executor(Arc::new(Executor::new(threads)));
             let statics = StaticComponents::of_sigma(pipeline.sigma());
-            let Some(components) = pipeline.factor_components().unwrap() else {
+            let Some(components) = pipeline.factor_analysis().unwrap().0 else {
                 // Flat fallback (fewer than two trigger-bearing components):
                 // nothing to map, but the static certificate must not have
                 // promised more than one trigger-bearing component either.
@@ -1017,14 +1021,14 @@ proptest! {
 
 /// A program whose choices are all welded into one component (coin_chain's
 /// zero-arity `SomeHeads` head couples every coin) must take the flat
-/// fallback: `solve_factored` returns the `Flat` variant, byte-identical —
+/// fallback: `solve_factored_with_analysis` returns the `Flat` variant, byte-identical —
 /// same fingerprint, same event listing — to `Pipeline::solve`.
 #[test]
 fn single_component_programs_fall_back_to_the_flat_path() {
     let (program, db) = gdlog_bench::workloads::coin_chain(3, 0.5);
     let pipeline = Pipeline::new(&program, &db).unwrap();
     assert_eq!(pipeline.factor_count().unwrap(), 1);
-    let solve = pipeline.solve_factored().unwrap();
+    let solve = pipeline.solve_factored_with_analysis().unwrap().0;
     assert!(!solve.is_factored());
     assert_eq!(solve.factor_count(), 1);
     let flat = pipeline.solve().unwrap();
@@ -1049,17 +1053,15 @@ fn from_chase_events_bit_identical_across_thread_counts() {
             TriggerOrder::First,
         )
         .unwrap();
-        let baseline = OutputSpace::from_chase(&chase, &limits).unwrap();
-        let cache = ModelSetCache::new();
+        let baseline = OutputSpace::from_chase(chase.clone(), &limits, &Ctx::sequential()).unwrap();
+        let cache = Arc::new(ModelSetCache::new());
         for threads in [1usize, 2, 8] {
             for cached in [false, true] {
-                let space = OutputSpace::from_chase_with(
-                    chase.clone(),
-                    &limits,
-                    &Executor::new(threads),
-                    cached.then_some(&cache),
-                )
-                .unwrap();
+                let mut ctx = Ctx::new(Arc::new(Executor::new(threads)));
+                if cached {
+                    ctx = ctx.with_cache(cache.clone());
+                }
+                let space = OutputSpace::from_chase(chase.clone(), &limits, &ctx).unwrap();
                 assert_eq!(
                     space.events_by_mass(),
                     baseline.events_by_mass(),
