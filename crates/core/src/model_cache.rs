@@ -14,7 +14,9 @@
 //! outcomes share a fingerprint exactly when they denote the same ground
 //! program (set semantics). Equal programs have equal stable-model sets by
 //! definition, so a cache hit can never change a result, at any thread
-//! count.
+//! count. The content is hashed once, when the fingerprint is built; map
+//! lookups hash only that `u64` and confirm a match by comparing the full
+//! content.
 //!
 //! A cache reaches the keying pass through [`crate::Ctx::cache`]; every
 //! [`crate::Pipeline`] puts its own in its context. Hit/miss counters are
@@ -27,14 +29,21 @@ use crate::grounding::AtrRule;
 use crate::outcome::ModelSetKey;
 use gdlog_engine::GroundRule;
 use parking_lot::Mutex;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The canonical, collision-free identity of an outcome's ground program
 /// `Σ ∪ G(Σ)`: its choice set and grounder rules in canonical order.
-#[derive(Clone, Default, PartialEq, Eq, Hash, Debug)]
+///
+/// Equality compares the full content; [`Hash`] writes only the content hash
+/// computed once by the constructor, so equal fingerprints hash equally and
+/// a map lookup costs one `u64` hash plus the confirming comparison.
+#[derive(Clone, Debug)]
 pub struct ProgramFingerprint {
+    hash: u64,
     choices: Vec<AtrRule>,
     rules: Vec<GroundRule>,
 }
@@ -43,7 +52,14 @@ impl ProgramFingerprint {
     /// Assemble a fingerprint from canonical listings (callers should use
     /// [`crate::PossibleOutcome::program_fingerprint`]).
     pub(crate) fn new(choices: Vec<AtrRule>, rules: Vec<GroundRule>) -> Self {
-        ProgramFingerprint { choices, rules }
+        let mut hasher = DefaultHasher::new();
+        choices.hash(&mut hasher);
+        rules.hash(&mut hasher);
+        ProgramFingerprint {
+            hash: hasher.finish(),
+            choices,
+            rules,
+        }
     }
 
     /// Number of choices plus ground rules covered by the fingerprint.
@@ -54,6 +70,26 @@ impl ProgramFingerprint {
     /// Is the fingerprint of the empty program?
     pub fn is_empty(&self) -> bool {
         self.choices.is_empty() && self.rules.is_empty()
+    }
+}
+
+impl Default for ProgramFingerprint {
+    fn default() -> Self {
+        ProgramFingerprint::new(Vec::new(), Vec::new())
+    }
+}
+
+impl PartialEq for ProgramFingerprint {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.choices == other.choices && self.rules == other.rules
+    }
+}
+
+impl Eq for ProgramFingerprint {}
+
+impl Hash for ProgramFingerprint {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
@@ -156,6 +192,106 @@ impl fmt::Debug for ModelSetCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grounding::AtrSet;
+    use crate::outcome::PossibleOutcome;
+    use gdlog_data::{Const, GroundAtom};
+    use gdlog_engine::GroundProgram;
+    use gdlog_prob::Prob;
+
+    fn atom(name: &str, arg: i64) -> GroundAtom {
+        GroundAtom::make(name, vec![Const::Int(arg)])
+    }
+
+    fn choice(arg: i64, outcome: i64) -> AtrRule {
+        AtrRule {
+            active: atom("Active", arg),
+            outcome: Const::Int(outcome),
+            result: GroundAtom::make("Result", vec![Const::Int(arg), Const::Int(outcome)]),
+        }
+    }
+
+    fn rules() -> Vec<GroundRule> {
+        vec![
+            GroundRule::fact(atom("A", 1)),
+            GroundRule::new(atom("B", 1), vec![atom("A", 1)], vec![atom("C", 1)]),
+            GroundRule::new(atom("C", 1), vec![atom("Result", 1)], vec![]),
+        ]
+    }
+
+    fn hash_of(fp: &ProgramFingerprint) -> u64 {
+        let mut hasher = DefaultHasher::new();
+        fp.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    fn outcome(
+        choices: &[AtrRule],
+        rules: impl IntoIterator<Item = GroundRule>,
+    ) -> PossibleOutcome {
+        let mut atr = AtrSet::new();
+        for c in choices {
+            atr.insert(c.clone()).unwrap();
+        }
+        PossibleOutcome::new(atr, GroundProgram::from_rules(rules), Prob::ONE)
+    }
+
+    #[test]
+    fn push_order_does_not_change_the_fingerprint() {
+        let choices = [choice(1, 0), choice(2, 1)];
+        let forward = outcome(&choices, rules());
+        let reversed_choices = [choice(2, 1), choice(1, 0)];
+        let backward = outcome(&reversed_choices, rules().into_iter().rev());
+        let (f, b) = (
+            forward.program_fingerprint(),
+            backward.program_fingerprint(),
+        );
+        assert_eq!(f, b);
+        assert_eq!(hash_of(&f), hash_of(&b));
+
+        let cache = ModelSetCache::new();
+        cache.insert(f.clone(), ModelSetKey::empty());
+        assert_eq!(cache.peek(&b), Some(ModelSetKey::empty()));
+        assert_eq!(cache.peek(&f), Some(ModelSetKey::empty()));
+    }
+
+    #[test]
+    fn fingerprints_differing_in_one_rule_are_distinct() {
+        let base = outcome(&[choice(1, 0)], rules()).program_fingerprint();
+        let mut changed = rules();
+        changed[1].neg.clear();
+        let other = outcome(&[choice(1, 0)], changed).program_fingerprint();
+        assert_ne!(base, other);
+        let cache = ModelSetCache::new();
+        cache.insert(base, ModelSetKey::empty());
+        assert!(cache.peek(&other).is_none());
+    }
+
+    #[test]
+    fn hash_and_equality_agree_on_small_programs() {
+        let r = rules();
+        let table: Vec<ProgramFingerprint> = vec![
+            ProgramFingerprint::default(),
+            ProgramFingerprint::new(vec![choice(1, 0)], Vec::new()),
+            ProgramFingerprint::new(vec![choice(1, 1)], Vec::new()),
+            ProgramFingerprint::new(Vec::new(), vec![r[0].clone()]),
+            ProgramFingerprint::new(Vec::new(), vec![r[1].clone()]),
+            ProgramFingerprint::new(Vec::new(), vec![r[0].clone(), r[1].clone()]),
+            ProgramFingerprint::new(vec![choice(1, 0)], vec![r[0].clone()]),
+            ProgramFingerprint::new(vec![choice(1, 0), choice(2, 0)], r.clone()),
+        ];
+        for (i, a) in table.iter().enumerate() {
+            for (j, b) in table.iter().enumerate() {
+                assert_eq!(a == b, i == j, "entries {i} and {j}");
+                // Rebuilding from the same content reproduces the hash.
+                let a2 = ProgramFingerprint::new(a.choices.clone(), a.rules.clone());
+                assert_eq!(a, &a2);
+                assert_eq!(hash_of(a), hash_of(&a2));
+                if i != j {
+                    assert_ne!(hash_of(a), hash_of(b), "entries {i} and {j}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn empty_cache_and_stats() {

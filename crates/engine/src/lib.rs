@@ -14,9 +14,11 @@
 //!   stable models `sms(Σ)` (the classical models of `SM[Σ]`) with a
 //!   component-split, propagating branch-and-prune search,
 //! * [`naive_stable_models`] — the original exhaustive `2^k` enumerator,
-//!   retained as the equivalence oracle for the search above,
+//!   retained as the equivalence oracle for the search above, with its own
+//!   textbook well-founded model [`naive_well_founded`],
 //! * [`well_founded`] — the well-founded (alternating fixpoint) approximation
-//!   used to prune the stable-model search,
+//!   used to prune the stable-model search, computed on a dense `u32`
+//!   compilation of the program,
 //! * [`stratified`] — the linear-time evaluation of stratified programs,
 //!   which have exactly one stable model (used by Proposition 5.2),
 //! * [`DependencyGraph`] — predicate-level dependency graphs, strongly
@@ -26,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
+mod dense;
 pub mod depgraph;
 pub mod ground;
 pub mod least_model;
@@ -39,7 +42,7 @@ pub use cancel::{CancelToken, DeadlineGuard};
 pub use depgraph::{connected_components, sccs_of, DependencyGraph, EdgeSign, Stratification};
 pub use ground::{GroundProgram, GroundRule};
 pub use least_model::least_model;
-pub use naive_stable::naive_stable_models;
+pub use naive_stable::{naive_stable_models, naive_well_founded};
 pub use reduct::reduct;
 pub use stable::{is_stable_model, stable_models, StableError, StableModelLimits};
 pub use stratified::{stratified_model, StratifiedError};

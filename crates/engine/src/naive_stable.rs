@@ -18,12 +18,18 @@
 //! representation: the assumption set is a plain push/pop stack instead of a
 //! `Database` rebuilt via `from_atoms` + filter on every undo (which made
 //! each backtrack O(assumed atoms) in allocations for no semantic gain).
+//!
+//! The oracle also keeps its own well-founded model,
+//! [`naive_well_founded`]: the textbook alternating fixpoint that rebuilds
+//! `reduct` and `least_model` as hashed programs and `Database`s every
+//! round. The production [`crate::well_founded()`] runs on the dense program
+//! form instead, so the oracle shares none of the code it checks.
 
 use crate::ground::GroundProgram;
 use crate::least_model::least_model;
 use crate::reduct::reduct;
 use crate::stable::{is_stable_model, StableError, StableModelLimits};
-use crate::wellfounded::{well_founded, WellFounded};
+use crate::wellfounded::WellFounded;
 use gdlog_data::{Database, GroundAtom};
 use std::collections::BTreeSet;
 
@@ -38,11 +44,10 @@ pub fn naive_stable_models(
     program: &GroundProgram,
     limits: &StableModelLimits,
 ) -> Result<Vec<Database>, StableError> {
-    let wf = well_founded(program);
+    let wf = naive_well_founded(program);
 
-    // Fast path: a total well-founded model is the unique stable model
-    // (provided it actually is one — odd loops can make it non-stable, but a
-    // total WFM is always stable).
+    // Fast path: a total well-founded model is the unique stable model (it
+    // is a fixpoint of `Γ`, and every stable model lies between `T` and `U`).
     if wf.is_total() {
         return Ok(vec![wf.true_atoms.clone()]);
     }
@@ -68,6 +73,34 @@ pub fn naive_stable_models(
     )?;
 
     Ok(found.into_iter().map(Database::from_atoms).collect())
+}
+
+/// The well-founded model by Van Gelder's alternating fixpoint, with
+/// `Γ(I) = least_model(reduct(Σ, I))` computed from scratch every round —
+/// the oracle for [`crate::well_founded()`].
+pub fn naive_well_founded(program: &GroundProgram) -> WellFounded {
+    let gamma = |i: &Database| least_model(&reduct(program, i));
+
+    let mut t = Database::new();
+    let mut u = gamma(&t);
+    loop {
+        let t_next = gamma(&u);
+        let u_next = gamma(&t_next);
+        if t_next == t && u_next == u {
+            break;
+        }
+        t = t_next;
+        u = u_next;
+    }
+
+    let base = program.atoms();
+    let false_atoms = Database::from_atoms(base.iter().filter(|a| !u.contains(a)).cloned());
+    let unknown_atoms = Database::from_atoms(u.iter().filter(|a| !t.contains(a)).cloned());
+    WellFounded {
+        true_atoms: t,
+        false_atoms,
+        unknown_atoms,
+    }
 }
 
 /// The atoms the search must branch on: undecided atoms that occur in a

@@ -6,16 +6,19 @@
 //! paper. `sms(Σ)` is the set of all stable models.
 //!
 //! The enumerator is a component-split, propagating branch-and-prune search
-//! (the decomposition playbook of Brik & Remmel's *Characterizing and
-//! computing stable models of logic programs*, specialised to ground
-//! programs):
+//! (the decomposition playbook of Brignoli & Costantini's *Characterizing
+//! and computing stable models of logic programs: the non-stratified case*,
+//! specialised to ground programs):
 //!
-//! 1. **Well-founded core.** Atoms decided by the well-founded model have the
-//!    same value in every stable model. The program is simplified to its
-//!    *residual*: only rules whose head is WFM-undecided survive, with
+//! 1. **Well-founded core.** The program is compiled once to its dense `u32`
+//!    form (`engine/src/dense.rs`) and its well-founded model computed there.
+//!    Atoms decided by the well-founded model have the same value in every
+//!    stable model; a total model is the answer outright. Otherwise the program
+//!    is simplified to its *residual*, read straight off the dense form and the
+//!    model's bitsets: only rules whose head is WFM-undecided survive, with
 //!    decided literals evaluated away. `sms(Σ) = { T ∪ S }` where `T` is the
-//!    WFM-true core and `S` ranges over the stable models of the residual
-//!    (see `ARCHITECTURE.md`, "Stable-model back-end", for the argument).
+//!    WFM-true core and `S` ranges over the stable models of the residual (see
+//!    `ARCHITECTURE.md`, "Stable-model back-end", for the argument).
 //! 2. **Component split.** The residual's ground-atom dependency graph is
 //!    decomposed into strongly connected components
 //!    ([`crate::depgraph::sccs_of`], the same Tarjan kernel as
@@ -30,7 +33,8 @@
 //!    are blocked is forced false, and contradictions prune the subtree
 //!    immediately. The reduct is maintained incrementally (per-rule blocked
 //!    counters with O(1) push/pop backtracking); only the surviving leaves
-//!    pay for a least-model computation, on dense local indexes.
+//!    pay for a least-model computation, by the same dense kernel as the
+//!    well-founded model.
 //!
 //! The original exhaustive enumerator is retained verbatim as the equivalence
 //! oracle in [`crate::naive_stable`].
@@ -43,11 +47,12 @@
 //! large (that is the point of the split).
 
 use crate::cancel::CancelToken;
+use crate::dense::{Bits, DenseProgram, Rules, RulesBuilder, Scratch};
 use crate::depgraph::sccs_of;
 use crate::ground::GroundProgram;
 use crate::least_model::least_model;
 use crate::reduct::reduct;
-use crate::wellfounded::{well_founded, WellFounded};
+use crate::wellfounded::DenseWellFounded;
 use gdlog_data::{Database, GroundAtom};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -138,16 +143,17 @@ pub fn stable_models(
     if cancel.is_cancelled() {
         return Err(StableError::Interrupted);
     }
-    let wf = well_founded(program);
+    let dense = DenseProgram::compile(program);
+    let wf = DenseWellFounded::of(&dense.rules);
+    let true_atoms = || wf.t.iter().map(|a| dense.atoms[a as usize].clone());
 
-    // Fast path: a total well-founded model is the unique stable model
-    // (provided it actually is one — odd loops can make it non-stable, but a
-    // total WFM is always stable).
+    // Fast path: a total well-founded model is the unique stable model (it
+    // is a fixpoint of `Γ`, and every stable model lies between `T` and `U`).
     if wf.is_total() {
-        return Ok(vec![wf.true_atoms.clone()]);
+        return Ok(vec![Database::from_atoms(true_atoms())]);
     }
 
-    let residual = Residual::build(program, &wf);
+    let residual = Residual::build(&dense, &wf);
     let components = residual.split();
 
     // Enforce the branch limit over every component before solving any, so
@@ -191,7 +197,8 @@ pub fn stable_models(
 
     // Cross product of the per-component model sets, each completed with the
     // well-founded core.
-    let core: Vec<GroundAtom> = wf.true_atoms.canonical_atoms();
+    let mut core: Vec<GroundAtom> = true_atoms().collect();
+    core.sort_unstable();
     let mut out: BTreeSet<Vec<GroundAtom>> = BTreeSet::new();
     let mut pick = vec![0usize; solved.len()];
     loop {
@@ -223,84 +230,83 @@ pub fn stable_models(
     }
 }
 
-/// A residual rule over dense indexes into [`Residual::atoms`]; `pos` and
-/// `neg` are sorted and duplicate-free so per-literal counters are exact.
-struct LocalRule {
-    head: u32,
-    pos: Vec<u32>,
-    neg: Vec<u32>,
-}
-
 /// The residual program: the WFM-undecided part of the input, with decided
-/// literals evaluated away. Every atom it mentions is WFM-unknown.
-struct Residual {
-    atoms: Vec<GroundAtom>,
-    rules: Vec<LocalRule>,
+/// literals evaluated away. Every atom it mentions is WFM-unknown; local ids
+/// follow the atoms' canonical order.
+struct Residual<'a> {
+    atoms: Vec<&'a GroundAtom>,
+    rules: Rules,
 }
 
-impl Residual {
-    fn build(program: &GroundProgram, wf: &WellFounded) -> Residual {
-        let atoms: Vec<GroundAtom> = wf.unknown_atoms.canonical_atoms();
-        let index_of: HashMap<&GroundAtom, u32> = atoms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a, i as u32))
+impl<'a> Residual<'a> {
+    fn build(dense: &DenseProgram<'a>, wf: &DenseWellFounded) -> Residual<'a> {
+        let mut unknown: Vec<u32> = (0..dense.atoms.len() as u32)
+            .filter(|&a| wf.is_unknown(a))
             .collect();
+        unknown.sort_unstable_by_key(|&a| dense.atoms[a as usize]);
+        const DECIDED: u32 = u32::MAX;
+        let mut local = vec![DECIDED; dense.atoms.len()];
+        for (i, &a) in unknown.iter().enumerate() {
+            local[a as usize] = i as u32;
+        }
 
-        let mut rules = Vec::new();
-        'rules: for rule in program.iter() {
+        let mut rules = RulesBuilder::new();
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
+        'rules: for r in 0..dense.rules.len() {
             // Only rules for undecided heads survive: WFM-true heads are in
             // every stable model already, WFM-false heads can never fire.
-            let Some(&head) = index_of.get(&rule.head) else {
+            let head = local[dense.rules.head(r) as usize];
+            if head == DECIDED {
                 continue;
-            };
-            let mut pos = Vec::new();
-            for a in &rule.pos {
-                if let Some(&i) = index_of.get(a) {
-                    pos.push(i);
-                } else if !wf.true_atoms.contains(a) {
+            }
+            pos.clear();
+            for &a in dense.rules.pos(r) {
+                match local[a as usize] {
                     // A WFM-false positive literal: the body is never
                     // satisfied in any stable model.
-                    continue 'rules;
+                    DECIDED if !wf.t.contains(a) => continue 'rules,
+                    // WFM-true positive literals are simply satisfied.
+                    DECIDED => {}
+                    i => pos.push(i),
                 }
-                // WFM-true positive literals are simply satisfied.
             }
-            let mut neg = Vec::new();
-            for a in &rule.neg {
-                if let Some(&i) = index_of.get(a) {
-                    neg.push(i);
-                } else if wf.true_atoms.contains(a) {
+            neg.clear();
+            for &a in dense.rules.neg(r) {
+                match local[a as usize] {
                     // A WFM-true negated atom blocks the rule in every
                     // stable model.
-                    continue 'rules;
+                    DECIDED if wf.t.contains(a) => continue 'rules,
+                    // WFM-false negated atoms are simply satisfied.
+                    DECIDED => {}
+                    i => neg.push(i),
                 }
-                // WFM-false negated atoms are simply satisfied.
             }
             pos.sort_unstable();
-            pos.dedup();
             neg.sort_unstable();
-            neg.dedup();
             // `α ∧ ¬α` in one body can never be satisfied by the candidate
             // the rule's reduct would have to reproduce; drop it eagerly so
             // it does not feign support for its head.
             if pos.iter().any(|p| neg.binary_search(p).is_ok()) {
                 continue;
             }
-            rules.push(LocalRule { head, pos, neg });
+            rules.push(head, &pos, &neg);
         }
-        Residual { atoms, rules }
+        Residual {
+            rules: rules.finish(unknown.len()),
+            atoms: unknown.iter().map(|&a| dense.atoms[a as usize]).collect(),
+        }
     }
 
     /// Split into independent solve units: the connected components of the
     /// SCC condensation of the atom dependency graph (equivalently, of its
     /// undirected view). Units share no atoms, so `sms` factors as their
     /// cross product.
-    fn split(&self) -> Vec<Component> {
+    fn split(&self) -> Vec<Component<'a>> {
         let n = self.atoms.len();
         let mut uf = UnionFind::new(n);
-        for rule in &self.rules {
-            for &b in rule.pos.iter().chain(rule.neg.iter()) {
-                uf.union(rule.head as usize, b as usize);
+        for r in 0..self.rules.len() {
+            for &b in self.rules.pos(r).iter().chain(self.rules.neg(r)) {
+                uf.union(self.rules.head(r) as usize, b as usize);
             }
         }
 
@@ -321,36 +327,37 @@ impl Residual {
             }
         }
 
-        let mut components: Vec<Component> = members
-            .iter()
-            .map(|group| Component {
-                atoms: group.iter().map(|&a| self.atoms[a].clone()).collect(),
-                rules: Vec::new(),
-                branch: Vec::new(),
-            })
-            .collect();
-        for rule in &self.rules {
-            let (ci, head) = local_of[rule.head as usize];
-            let remap = |lits: &[u32]| -> Vec<u32> {
-                lits.iter().map(|&a| local_of[a as usize].1).collect()
+        // Local ids are assigned in ascending global order, so remapping
+        // keeps every body sorted.
+        let mut builders: Vec<RulesBuilder> = members.iter().map(|_| RulesBuilder::new()).collect();
+        let (mut pos, mut neg) = (Vec::new(), Vec::new());
+        for r in 0..self.rules.len() {
+            let (ci, head) = local_of[self.rules.head(r) as usize];
+            let remap = |lits: &[u32], out: &mut Vec<u32>| {
+                out.clear();
+                out.extend(lits.iter().map(|&a| local_of[a as usize].1));
             };
-            components[ci as usize].rules.push(LocalRule {
-                head,
-                pos: remap(&rule.pos),
-                neg: remap(&rule.neg),
-            });
+            remap(self.rules.pos(r), &mut pos);
+            remap(self.rules.neg(r), &mut neg);
+            builders[ci as usize].push(head, &pos, &neg);
         }
-        for comp in &mut components {
-            comp.order_branch_atoms();
-        }
-        components
+        members
+            .iter()
+            .zip(builders)
+            .map(|(group, rules)| {
+                Component::new(
+                    group.iter().map(|&a| self.atoms[a]).collect(),
+                    rules.finish(group.len()),
+                )
+            })
+            .collect()
     }
 }
 
 /// One independent solve unit of the residual program.
-struct Component {
-    atoms: Vec<GroundAtom>,
-    rules: Vec<LocalRule>,
+struct Component<'a> {
+    atoms: Vec<&'a GroundAtom>,
+    rules: Rules,
     /// Local indexes of the negatively-occurring atoms (the negative
     /// signature of the unit), in bottom-up SCC order: branching on the
     /// dependency-wise lowest atoms first lets propagation cascade through
@@ -358,17 +365,13 @@ struct Component {
     branch: Vec<u32>,
 }
 
-impl Component {
-    fn order_branch_atoms(&mut self) {
-        let n = self.atoms.len();
+impl<'a> Component<'a> {
+    fn new(atoms: Vec<&'a GroundAtom>, rules: Rules) -> Self {
+        let n = atoms.len();
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut negative: Vec<bool> = vec![false; n];
-        for rule in &self.rules {
-            for &b in rule.pos.iter().chain(rule.neg.iter()) {
-                succ[b as usize].push(rule.head as usize);
-            }
-            for &b in &rule.neg {
-                negative[b as usize] = true;
+        for r in 0..rules.len() {
+            for &b in rules.pos(r).iter().chain(rules.neg(r)) {
+                succ[b as usize].push(rules.head(r) as usize);
             }
         }
         for s in &mut succ {
@@ -381,9 +384,15 @@ impl Component {
                 scc_pos[a] = i;
             }
         }
-        let mut branch: Vec<u32> = (0..n as u32).filter(|&a| negative[a as usize]).collect();
+        let mut branch: Vec<u32> = (0..n as u32)
+            .filter(|&a| !rules.neg_occ(a).is_empty())
+            .collect();
         branch.sort_by_key(|&a| (scc_pos[a as usize], a));
-        self.branch = branch;
+        Component {
+            atoms,
+            rules,
+            branch,
+        }
     }
 }
 
@@ -402,7 +411,7 @@ enum Val {
 /// the per-rule counter updates, so backtracking is O(consequences), with no
 /// allocation and no `Database` rebuilds.
 struct Solver<'a> {
-    comp: &'a Component,
+    comp: &'a Component<'a>,
     value: Vec<Val>,
     /// Has this assigned atom's counter effects been applied yet? (Assigned
     /// atoms whose effects were still queued when a conflict surfaced must
@@ -428,14 +437,9 @@ struct Solver<'a> {
     /// unfounded and forced false.
     support: Vec<u32>,
 
-    // Occurrence lists (atom → rules).
-    pos_occ: Vec<Vec<u32>>,
-    neg_occ: Vec<Vec<u32>>,
-
     // Scratch for the leaf least-model computation.
-    lm_counts: Vec<u32>,
-    lm_stack: Vec<u32>,
-    in_model: Vec<bool>,
+    lm: Scratch,
+    in_model: Bits,
 
     models: Vec<Vec<u32>>,
     /// Set when the cancel token fired mid-search (the search unwinds via
@@ -444,24 +448,16 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    fn new(comp: &'a Component) -> Self {
+    fn new(comp: &'a Component<'a>) -> Self {
         let n = comp.atoms.len();
         let m = comp.rules.len();
-        let mut pos_occ: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut neg_occ: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut support = vec![0u32; n];
         let mut unsat_pos = vec![0u32; m];
         let mut unfalse_neg = vec![0u32; m];
-        for (r, rule) in comp.rules.iter().enumerate() {
-            for &a in &rule.pos {
-                pos_occ[a as usize].push(r as u32);
-            }
-            for &a in &rule.neg {
-                neg_occ[a as usize].push(r as u32);
-            }
-            unsat_pos[r] = rule.pos.len() as u32;
-            unfalse_neg[r] = rule.neg.len() as u32;
-            support[rule.head as usize] += 1;
+        for r in 0..m {
+            unsat_pos[r] = comp.rules.pos(r).len() as u32;
+            unfalse_neg[r] = comp.rules.neg(r).len() as u32;
+            support[comp.rules.head(r) as usize] += 1;
         }
         Solver {
             comp,
@@ -475,11 +471,8 @@ impl<'a> Solver<'a> {
             blocked: vec![0; m],
             neg_true: vec![0; m],
             support,
-            pos_occ,
-            neg_occ,
-            lm_counts: vec![0; m],
-            lm_stack: Vec::with_capacity(n),
-            in_model: vec![false; n],
+            lm: Scratch::new(&comp.rules),
+            in_model: Bits::new(n),
             models: Vec::new(),
             interrupted: false,
         }
@@ -499,7 +492,7 @@ impl<'a> Solver<'a> {
         self.pending.clear();
         for r in 0..self.comp.rules.len() {
             if self.fireable(r) {
-                self.enqueue(self.comp.rules[r].head, Val::True);
+                self.enqueue(self.comp.rules.head(r), Val::True);
             }
         }
         for a in 0..self.comp.atoms.len() as u32 {
@@ -541,36 +534,36 @@ impl<'a> Solver<'a> {
     /// conflict (the trail still records every assignment made, applied or
     /// not, so [`Solver::undo_to`] restores the exact prior state).
     fn run_queue(&mut self) -> bool {
+        let rules = &self.comp.rules;
         let mut qi = 0;
         while qi < self.pending.len() && !self.conflict {
-            let a = self.pending[qi] as usize;
+            let a = self.pending[qi];
             qi += 1;
-            self.applied[a] = true;
-            match self.value[a] {
+            self.applied[a as usize] = true;
+            match self.value[a as usize] {
                 Val::True => {
-                    for i in 0..self.pos_occ[a].len() {
-                        let r = self.pos_occ[a][i] as usize;
+                    for &r in rules.pos_occ(a) {
+                        let r = r as usize;
                         self.unsat_pos[r] -= 1;
                         if self.fireable(r) {
-                            self.enqueue(self.comp.rules[r].head, Val::True);
+                            self.enqueue(rules.head(r), Val::True);
                         }
                     }
-                    for i in 0..self.neg_occ[a].len() {
-                        let r = self.neg_occ[a][i] as usize;
+                    for &r in rules.neg_occ(a) {
+                        let r = r as usize;
                         self.neg_true[r] += 1;
                         self.block(r);
                     }
                 }
                 Val::False => {
-                    for i in 0..self.pos_occ[a].len() {
-                        let r = self.pos_occ[a][i] as usize;
-                        self.block(r);
+                    for &r in rules.pos_occ(a) {
+                        self.block(r as usize);
                     }
-                    for i in 0..self.neg_occ[a].len() {
-                        let r = self.neg_occ[a][i] as usize;
+                    for &r in rules.neg_occ(a) {
+                        let r = r as usize;
                         self.unfalse_neg[r] -= 1;
                         if self.fireable(r) {
-                            self.enqueue(self.comp.rules[r].head, Val::True);
+                            self.enqueue(rules.head(r), Val::True);
                         }
                     }
                 }
@@ -585,7 +578,7 @@ impl<'a> Solver<'a> {
     fn block(&mut self, r: usize) {
         self.blocked[r] += 1;
         if self.blocked[r] == 1 {
-            let head = self.comp.rules[r].head as usize;
+            let head = self.comp.rules.head(r) as usize;
             self.support[head] -= 1;
             if self.support[head] == 0 {
                 self.enqueue(head as u32, Val::False);
@@ -596,7 +589,7 @@ impl<'a> Solver<'a> {
     fn unblock(&mut self, r: usize) {
         self.blocked[r] -= 1;
         if self.blocked[r] == 0 {
-            self.support[self.comp.rules[r].head as usize] += 1;
+            self.support[self.comp.rules.head(r) as usize] += 1;
         }
     }
 
@@ -610,36 +603,33 @@ impl<'a> Solver<'a> {
 
     /// Undo every assignment made after `mark`, reversing applied effects.
     fn undo_to(&mut self, mark: usize) {
+        let rules = &self.comp.rules;
         while self.trail.len() > mark {
-            let a = self.trail.pop().expect("trail is non-empty") as usize;
-            if self.applied[a] {
-                self.applied[a] = false;
-                match self.value[a] {
+            let a = self.trail.pop().expect("trail is non-empty");
+            if self.applied[a as usize] {
+                self.applied[a as usize] = false;
+                match self.value[a as usize] {
                     Val::True => {
-                        for i in 0..self.pos_occ[a].len() {
-                            let r = self.pos_occ[a][i] as usize;
-                            self.unsat_pos[r] += 1;
+                        for &r in rules.pos_occ(a) {
+                            self.unsat_pos[r as usize] += 1;
                         }
-                        for i in 0..self.neg_occ[a].len() {
-                            let r = self.neg_occ[a][i] as usize;
-                            self.neg_true[r] -= 1;
-                            self.unblock(r);
+                        for &r in rules.neg_occ(a) {
+                            self.neg_true[r as usize] -= 1;
+                            self.unblock(r as usize);
                         }
                     }
                     Val::False => {
-                        for i in 0..self.pos_occ[a].len() {
-                            let r = self.pos_occ[a][i] as usize;
-                            self.unblock(r);
+                        for &r in rules.pos_occ(a) {
+                            self.unblock(r as usize);
                         }
-                        for i in 0..self.neg_occ[a].len() {
-                            let r = self.neg_occ[a][i] as usize;
-                            self.unfalse_neg[r] += 1;
+                        for &r in rules.neg_occ(a) {
+                            self.unfalse_neg[r as usize] += 1;
                         }
                     }
                     Val::Unknown => unreachable!("trail atoms are assigned"),
                 }
             }
-            self.value[a] = Val::Unknown;
+            self.value[a as usize] = Val::Unknown;
         }
     }
 
@@ -676,50 +666,23 @@ impl<'a> Solver<'a> {
 
     /// All negative-signature atoms are assigned: the reduct is fully
     /// determined (`neg_true == 0` rules, negative bodies deleted). Compute
-    /// its least model over the local indexes and keep it if it reproduces
-    /// the branch assignment — then it is a stable model by construction.
+    /// its least model with the shared dense kernel and keep it if it
+    /// reproduces the branch assignment — then it is a stable model by
+    /// construction.
     fn leaf(&mut self, cap: usize) -> bool {
-        self.in_model.iter_mut().for_each(|b| *b = false);
-        self.lm_stack.clear();
-        for (r, rule) in self.comp.rules.iter().enumerate() {
-            if self.neg_true[r] > 0 {
-                self.lm_counts[r] = u32::MAX; // not in the reduct
-            } else {
-                self.lm_counts[r] = rule.pos.len() as u32;
-                if rule.pos.is_empty() && !self.in_model[rule.head as usize] {
-                    self.in_model[rule.head as usize] = true;
-                    self.lm_stack.push(rule.head);
-                }
-            }
-        }
-        while let Some(a) = self.lm_stack.pop() {
-            for i in 0..self.pos_occ[a as usize].len() {
-                let r = self.pos_occ[a as usize][i] as usize;
-                if self.lm_counts[r] == u32::MAX {
-                    continue;
-                }
-                self.lm_counts[r] -= 1;
-                if self.lm_counts[r] == 0 {
-                    let head = self.comp.rules[r].head;
-                    if !self.in_model[head as usize] {
-                        self.in_model[head as usize] = true;
-                        self.lm_stack.push(head);
-                    }
-                }
-            }
-        }
+        let neg_true = &self.neg_true;
+        self.comp
+            .rules
+            .least_model(|r| neg_true[r] > 0, &mut self.lm, &mut self.in_model);
         // The candidate must agree with the branch assignment on the whole
         // negative signature, otherwise the reduct we used was not the
         // candidate's own reduct.
         for &b in &self.comp.branch {
-            if self.in_model[b as usize] != (self.value[b as usize] == Val::True) {
+            if self.in_model.contains(b) != (self.value[b as usize] == Val::True) {
                 return true;
             }
         }
-        let model: Vec<u32> = (0..self.comp.atoms.len() as u32)
-            .filter(|&a| self.in_model[a as usize])
-            .collect();
-        self.models.push(model);
+        self.models.push(self.in_model.iter().collect());
         self.models.len() < cap
     }
 }

@@ -10,10 +10,18 @@
 //! `T₀ = ∅, U₀ = Γ(T₀), T_{i+1} = Γ(U_i), U_{i+1} = Γ(T_{i+1})` converges to
 //! the well-founded model: `T` holds the true atoms and the complement of `U`
 //! the false ones.
+//!
+//! It runs on the program's dense form (`engine/src/dense.rs`), compiled once:
+//! `T` and `U` are bitsets over the interned atoms, and each `Γ` is one call
+//! of the shared least-model kernel with "has a negated atom in `I`" as the
+//! reduct mask, so a round allocates nothing and hashes no atom.
+//! [`crate::stable::stable_models`] compiles once and reuses the same bitsets
+//! for its residual search; [`well_founded`] converts them to `Database`s.
+//! The textbook `reduct` + `least_model` form is kept as the independent
+//! oracle [`crate::naive_stable::naive_well_founded`].
 
+use crate::dense::{Bits, DenseProgram, Rules, Scratch};
 use crate::ground::GroundProgram;
-use crate::least_model::least_model;
-use crate::reduct::reduct;
 use gdlog_data::Database;
 
 /// The three-valued well-founded model of a ground program.
@@ -38,27 +46,59 @@ impl WellFounded {
 
 /// Compute the well-founded model of `program`.
 pub fn well_founded(program: &GroundProgram) -> WellFounded {
-    let gamma = |i: &Database| least_model(&reduct(program, i));
+    let dense = DenseProgram::compile(program);
+    let wf = DenseWellFounded::of(&dense.rules);
+    let collect = |keep: &dyn Fn(u32) -> bool| {
+        Database::from_atoms(
+            (0..dense.atoms.len() as u32)
+                .filter(|&a| keep(a))
+                .map(|a| dense.atoms[a as usize].clone()),
+        )
+    };
+    WellFounded {
+        true_atoms: collect(&|a| wf.t.contains(a)),
+        false_atoms: collect(&|a| !wf.u.contains(a)),
+        unknown_atoms: collect(&|a| wf.is_unknown(a)),
+    }
+}
 
-    let mut t = Database::new();
-    let mut u = gamma(&t);
-    loop {
-        let t_next = gamma(&u);
-        let u_next = gamma(&t_next);
-        if t_next == t && u_next == u {
-            break;
+/// The well-founded model over dense atom ids: `t` holds the true atoms,
+/// `u` the true-or-unknown ones (its complement is false).
+pub(crate) struct DenseWellFounded {
+    pub(crate) t: Bits,
+    pub(crate) u: Bits,
+}
+
+impl DenseWellFounded {
+    /// The alternating fixpoint of `rules`.
+    pub(crate) fn of(rules: &Rules) -> Self {
+        let mut scratch = Scratch::new(rules);
+        let mut gamma = |i: &Bits, out: &mut Bits| {
+            let blocked = |r: usize| rules.neg(r).iter().any(|&a| i.contains(a));
+            rules.least_model(blocked, &mut scratch, out);
+        };
+        let n = rules.atom_count();
+        let (mut t, mut u) = (Bits::new(n), Bits::new(n));
+        let (mut t_next, mut u_next) = (Bits::new(n), Bits::new(n));
+        gamma(&t, &mut u);
+        loop {
+            gamma(&u, &mut t_next);
+            gamma(&t_next, &mut u_next);
+            if t_next == t && u_next == u {
+                return DenseWellFounded { t, u };
+            }
+            std::mem::swap(&mut t, &mut t_next);
+            std::mem::swap(&mut u, &mut u_next);
         }
-        t = t_next;
-        u = u_next;
     }
 
-    let base = program.atoms();
-    let false_atoms = Database::from_atoms(base.iter().filter(|a| !u.contains(a)).cloned());
-    let unknown_atoms = Database::from_atoms(u.iter().filter(|a| !t.contains(a)).cloned());
-    WellFounded {
-        true_atoms: t,
-        false_atoms,
-        unknown_atoms,
+    /// Is the model total (`T = U`)?
+    pub(crate) fn is_total(&self) -> bool {
+        self.t == self.u
+    }
+
+    pub(crate) fn is_unknown(&self, atom: u32) -> bool {
+        self.u.contains(atom) && !self.t.contains(atom)
     }
 }
 

@@ -15,8 +15,8 @@ use gdlog::core::{
 };
 use gdlog::prelude::*;
 use gdlog_engine::{
-    is_stable_model, least_model, naive_stable_models, reduct, stable_models, well_founded,
-    GroundProgram, GroundRule, StableModelLimits,
+    is_stable_model, least_model, naive_stable_models, naive_well_founded, reduct, stable_models,
+    well_founded, GroundProgram, GroundRule, StableModelLimits, WellFounded,
 };
 use gdlog_prob::Rational;
 use proptest::prelude::*;
@@ -612,6 +612,40 @@ proptest! {
             stable_models(&program, &tight, &CancelToken::never()),
             naive_stable_models(&program, &tight)
         );
+    }
+}
+
+/// The dense well-founded model and the oracle's `reduct` + `least_model`
+/// alternating fixpoint decide exactly the same atoms.
+fn assert_wfm_matches_oracle(program: &GroundProgram) -> Result<(), TestCaseError> {
+    let dense = well_founded(program);
+    let oracle = naive_well_founded(program);
+    let canon = |wf: &WellFounded| {
+        (
+            wf.true_atoms.canonical_atoms(),
+            wf.false_atoms.canonical_atoms(),
+            wf.unknown_atoms.canonical_atoms(),
+        )
+    };
+    prop_assert_eq!(canon(&dense), canon(&oracle));
+    prop_assert_eq!(dense.is_total(), oracle.is_total());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Dense WFM ≡ oracle WFM on random small normal programs.
+    #[test]
+    fn dense_well_founded_equals_oracle(program in ground_program()) {
+        assert_wfm_matches_oracle(&program)?;
+    }
+
+    /// Dense WFM ≡ oracle WFM on programs with even/odd loops and
+    /// `Fail`/`Aux` constraints.
+    #[test]
+    fn dense_well_founded_equals_oracle_on_looped_programs(program in looped_ground_program()) {
+        assert_wfm_matches_oracle(&program)?;
     }
 }
 
