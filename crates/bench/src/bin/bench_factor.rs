@@ -32,7 +32,8 @@
 //! [--gate-factored]` (defaults: small scale, `GDLOG_THREADS` or 4 threads,
 //! `BENCH_factor.json` in the current directory). With `--gate-factored`
 //! the run exits non-zero unless at least two flat-feasible workloads reach
-//! the scale's speedup floor — 2× at smoke scale, 10× at full scale.
+//! the scale's speedup floor — 2× at smoke scale, 10× at full scale. The
+//! JSON records the command line that wrote it.
 
 use gdlog_bench::workloads::{factor_workload_suite, FactorWorkload};
 use gdlog_core::{Executor, ModelSetKey, Pipeline, THREADS_ENV};
@@ -333,6 +334,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"factorized_spaces\",\n");
+    let command = format!("bench_factor {}", args.join(" "));
+    json.push_str(&format!("  \"command\": \"{}\",\n", command.trim_end()));
     json.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         if full { "full" } else { "small" }

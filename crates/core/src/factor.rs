@@ -23,11 +23,13 @@
 //!    literals are vacuously true everywhere and carry no dependency), and
 //!    every AtR pair contributes `active — result` edges. Connected
 //!    components of this graph are chase-independent sub-programs.
-//! 3. **Per-component chase** ([`ComponentGrounder`]): each component is
-//!    chased independently — the grounder's triggers are filtered to the
-//!    component's `Active` atoms, so the chase branches only over this
-//!    component's choices — and the resulting outcomes are restricted to
-//!    rules whose heads live in the component.
+//! 3. **Per-component chase** (`Pipeline::solve_factored_with_analysis`):
+//!    each component is chased on its own slice of `Σ_Π[D]` — every non-fact
+//!    rule and AtR schema, but only the fact rules whose heads lie in the
+//!    component. Every ground rule instance has its footprint inside one
+//!    component, so grounding from the component's facts derives exactly
+//!    the component's share of each flat outcome's rules, and the chase
+//!    branches only over the component's own choices.
 //!
 //! Soundness of the product measure: every ground rule instance has its full
 //! footprint (head, positive body, derivable negative body) inside one
@@ -47,14 +49,14 @@ use crate::analyze::{certainly_single_trigger, StaticComponents};
 use crate::chase::ChaseBudget;
 use crate::ctx::Ctx;
 use crate::error::CoreError;
-use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
 use crate::outcome::ModelSetKey;
 use crate::semantics::OutputSpace;
+use crate::simple_grounder::instantiate;
 use crate::translate::{AtrSchema, SigmaPi, TgdRule};
-use gdlog_data::{match_atoms, Database, GroundAtom};
+use gdlog_data::{match_atoms_indexed, Database, GroundAtom};
 use gdlog_engine::{connected_components, CancelToken, GroundProgram, GroundRule};
 use gdlog_prob::{DiscreteSpace, FactoredSpace, Prob};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Safety valve for the universe fixpoint: programs whose over-approximated
 /// atom universe exceeds this bound fall back to the flat path rather than
@@ -144,29 +146,12 @@ fn saturate_group(
             }
         }
 
-        // One naive pass of every rule against all heads; negative literals
+        // One indexed pass of every rule against all heads; negative literals
         // are ignored (over-approximation).
         let mut new_rules: Vec<GroundRule> = Vec::new();
         for rule in rules {
-            for h in match_atoms(&rule.pos, |pattern| heads.candidates(pattern)) {
-                let head = rule
-                    .head
-                    .apply_ground(&h)
-                    .expect("safety guarantees the head grounds");
-                let pos: Vec<GroundAtom> = rule
-                    .pos
-                    .iter()
-                    .map(|a| a.apply_ground(&h).expect("matched atoms are ground"))
-                    .collect();
-                let neg: Vec<GroundAtom> = rule
-                    .neg
-                    .iter()
-                    .map(|a| {
-                        a.apply_ground(&h)
-                            .expect("safety grounds negative literals")
-                    })
-                    .collect();
-                new_rules.push(GroundRule::new(head, pos, neg));
+            for h in match_atoms_indexed(&rule.pos, &heads) {
+                instantiate(rule, &h, None, &mut new_rules);
             }
         }
         for rule in new_rules {
@@ -332,86 +317,12 @@ pub fn analyze(
     }
     let mut components = with_triggers;
     if !without.is_empty() {
-        let mut base = ChaseComponent {
-            atoms: BTreeSet::new(),
+        components.push(ChaseComponent {
+            atoms: without.into_iter().flat_map(|c| c.atoms).collect(),
             triggers: BTreeSet::new(),
-        };
-        for c in without {
-            base.atoms.extend(c.atoms);
-        }
-        components.push(base);
+        });
     }
     Ok((Some(components), FactorAnalysis::Dynamic))
-}
-
-/// A grounder restricted to one chase component: grounding delegates to the
-/// inner grounder unchanged, but only the component's own `Active` atoms
-/// count as triggers — the chase branches over this component's choices and
-/// terminates with every other component's `Active` atoms left undefined.
-pub struct ComponentGrounder<'a> {
-    inner: &'a dyn Grounder,
-    triggers: &'a BTreeSet<GroundAtom>,
-}
-
-impl<'a> ComponentGrounder<'a> {
-    /// Restrict `inner` to the given trigger set.
-    ///
-    /// `inner` must saturate past undefined triggers (the simple grounder
-    /// does; the perfect grounder intentionally stalls at the stratum of an
-    /// undefined trigger and would never derive later strata of this
-    /// component).
-    pub fn new(inner: &'a dyn Grounder, triggers: &'a BTreeSet<GroundAtom>) -> Self {
-        ComponentGrounder { inner, triggers }
-    }
-}
-
-impl Grounder for ComponentGrounder<'_> {
-    fn sigma(&self) -> &SigmaPi {
-        self.inner.sigma()
-    }
-
-    fn name(&self) -> &'static str {
-        "component"
-    }
-
-    fn ground(&self, atr: &AtrSet) -> GroundRuleSet {
-        self.inner.ground(atr)
-    }
-
-    fn ground_node(&self, atr: &AtrSet) -> Grounding {
-        self.inner.ground_node(atr)
-    }
-
-    fn ground_from(&self, atr: &AtrSet, parent_atr: &AtrSet, parent: &mut Grounding) -> Grounding {
-        self.inner.ground_from(atr, parent_atr, parent)
-    }
-
-    fn triggers(&self, atr: &AtrSet, rules: &GroundRuleSet) -> Vec<GroundAtom> {
-        self.inner
-            .triggers(atr, rules)
-            .into_iter()
-            .filter(|a| self.triggers.contains(a))
-            .collect()
-    }
-}
-
-/// Restrict every outcome of a per-component chase to the rules whose heads
-/// live in the component. Rule footprints never cross components, so this
-/// keeps exactly the component's share of each flat outcome's program.
-pub(crate) fn restrict_outcomes(
-    mut chase: crate::chase::ChaseResult,
-    atoms: &BTreeSet<GroundAtom>,
-) -> crate::chase::ChaseResult {
-    for outcome in &mut chase.outcomes {
-        outcome.rules = GroundRuleSet::from_rules(
-            outcome
-                .rules
-                .iter()
-                .filter(|r| atoms.contains(&r.head))
-                .cloned(),
-        );
-    }
-    chase
 }
 
 /// A mass difference clamped at zero against float dust.
@@ -436,6 +347,8 @@ pub struct Factor {
 /// [`Prob`] factor multiplication.
 pub struct FactoredOutputSpace {
     factors: Vec<Factor>,
+    /// Every factor atom → its factor, for routing query atoms.
+    factor_of: HashMap<GroundAtom, usize>,
     /// Per factor: `P(sms ≠ ∅)` within the explored mass.
     nonempty: Vec<Prob>,
     /// Per factor: explored mass.
@@ -444,15 +357,22 @@ pub struct FactoredOutputSpace {
 
 impl FactoredOutputSpace {
     /// Assemble the product space, caching the per-factor nonempty and
-    /// explored masses every query multiplies with.
+    /// explored masses every query multiplies with and the atom → factor
+    /// routing table.
     pub fn new(factors: Vec<Factor>) -> Self {
         let nonempty = factors
             .iter()
             .map(|f| f.space.has_stable_model_probability())
             .collect();
         let explored = factors.iter().map(|f| f.space.explored_mass()).collect();
+        let factor_of = factors
+            .iter()
+            .enumerate()
+            .flat_map(|(i, f)| f.atoms.iter().map(move |a| (a.clone(), i)))
+            .collect();
         FactoredOutputSpace {
             factors,
+            factor_of,
             nonempty,
             explored,
         }
@@ -490,7 +410,7 @@ impl FactoredOutputSpace {
         let mut any_empty = false;
         for f in &self.factors {
             let events = f.space.event_count();
-            let has_empty = f.space.events_by_mass().iter().any(|(k, _)| k.is_empty());
+            let has_empty = f.space.has_event(&ModelSetKey::empty());
             any_empty |= has_empty;
             nonempty_product =
                 nonempty_product.saturating_mul((events - usize::from(has_empty)) as u128);
@@ -526,11 +446,6 @@ impl FactoredOutputSpace {
         Prob::product(self.nonempty.iter().copied())
     }
 
-    /// The factor whose atom set contains `atom`, if any.
-    fn factor_of(&self, atom: &GroundAtom) -> Option<usize> {
-        self.factors.iter().position(|f| f.atoms.contains(atom))
-    }
-
     /// `P(every listed atom is brave in the joint key)`: a joint model is a
     /// union of per-factor models, so atom `a` of factor `j` is in some
     /// joint model iff it is in some factor-`j` model *and* every other
@@ -553,8 +468,8 @@ impl FactoredOutputSpace {
     {
         let mut by_factor: BTreeMap<usize, Vec<&GroundAtom>> = BTreeMap::new();
         for atom in atoms {
-            match self.factor_of(atom) {
-                Some(j) => by_factor.entry(j).or_default().push(atom),
+            match self.factor_of.get(atom) {
+                Some(&j) => by_factor.entry(j).or_default().push(atom),
                 None => return Prob::ZERO,
             }
         }
@@ -1031,6 +946,15 @@ mod tests {
         assert_eq!(factored.residual_mass(), flat.residual_mass());
         assert_eq!(factored.is_truncated(), flat.is_truncated());
         assert_eq!(factored.combined_events() as usize, flat.event_count());
+        // Each factor's chase stays inside its own component: every rule of
+        // every outcome has its head among the factor's atoms.
+        for f in factored.as_product().expect("factored").factors() {
+            for (outcome, _) in f.space.outcomes() {
+                for rule in outcome.rules.iter() {
+                    assert!(f.atoms.contains(&rule.head), "{} escapes", rule.head);
+                }
+            }
+        }
 
         for i in 1..=4 {
             for name in ["Coin", "Tails", "Even", "Odd"] {

@@ -78,9 +78,7 @@ pub use delta::DeltaTerm;
 pub use depgraph::{dependency_graph, stratification, DependencyGraph, Stratification};
 pub use error::CoreError;
 pub use exec::{Executor, THREADS_ENV};
-pub use factor::{
-    ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace, FactoredSolve,
-};
+pub use factor::{ChaseComponent, Factor, FactorAnalysis, FactoredOutputSpace, FactoredSolve};
 pub use fingerprint::fnv1a_fingerprint;
 pub use gdlog_engine::{CancelToken, DeadlineGuard};
 pub use grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};

@@ -67,25 +67,32 @@ impl ModelSetKey {
     /// per-part keys with each joint model the (sorted, deduplicated) union
     /// of its parts. Any empty part makes the whole product empty — a union
     /// has a stable model only if every part does.
+    /// Each joint model is built in one pass from an index tuple over the
+    /// parts' models, never by copying a growing prefix.
     pub fn product(keys: &[&ModelSetKey]) -> ModelSetKey {
         if keys.iter().any(|k| k.is_empty()) {
             return ModelSetKey::empty();
         }
-        let mut encoded: Vec<Vec<GroundAtom>> = vec![Vec::new()];
-        for key in keys {
-            let mut next = Vec::with_capacity(encoded.len() * key.0.len());
-            for prefix in &encoded {
-                for model in &key.0 {
-                    let mut joined = prefix.clone();
-                    joined.extend(model.iter().cloned());
-                    next.push(joined);
-                }
-            }
-            encoded = next;
-        }
-        for model in &mut encoded {
+        let count = keys.iter().map(|k| k.0.len()).product();
+        let mut encoded: Vec<Vec<GroundAtom>> = Vec::with_capacity(count);
+        let mut tuple = vec![0usize; keys.len()];
+        loop {
+            let parts = || keys.iter().zip(&tuple).map(|(k, &i)| &k.0[i]);
+            let mut model = Vec::with_capacity(parts().map(Vec::len).sum());
+            model.extend(parts().flatten().cloned());
             model.sort();
             model.dedup();
+            encoded.push(model);
+            // Advance the counter, last part fastest; stop once every part
+            // sits at its last model.
+            let Some(f) = (0..keys.len())
+                .rev()
+                .find(|&f| tuple[f] + 1 < keys[f].0.len())
+            else {
+                break;
+            };
+            tuple[f] += 1;
+            tuple[f + 1..].fill(0);
         }
         encoded.sort();
         encoded.dedup();
@@ -283,6 +290,82 @@ mod tests {
         let unit = ModelSetKey::product(&[]);
         assert_eq!(unit.model_count(), 1);
         assert_eq!(ModelSetKey::product(&[&left, &unit]), left);
+    }
+
+    /// The prefix-cloning construction `product` replaced, kept as an oracle.
+    fn nested_product(keys: &[&ModelSetKey]) -> ModelSetKey {
+        if keys.iter().any(|k| k.is_empty()) {
+            return ModelSetKey::empty();
+        }
+        let mut encoded: Vec<Vec<GroundAtom>> = vec![Vec::new()];
+        for key in keys {
+            let mut next = Vec::new();
+            for prefix in &encoded {
+                for model in &key.0 {
+                    let mut joined = prefix.clone();
+                    joined.extend(model.iter().cloned());
+                    next.push(joined);
+                }
+            }
+            encoded = next;
+        }
+        for model in &mut encoded {
+            model.sort();
+            model.dedup();
+        }
+        encoded.sort();
+        encoded.dedup();
+        ModelSetKey(encoded)
+    }
+
+    #[test]
+    fn product_equals_the_nested_construction() {
+        // 2 × 3 × 1 models whose atoms interleave across parts: part `p`
+        // holds `A(3i + p)`, so the sorted union alternates between parts.
+        let part = |p: i64, models: &[&[i64]]| {
+            let dbs: Vec<Database> = models
+                .iter()
+                .map(|m| {
+                    db(&m
+                        .iter()
+                        .map(|&i| atom("A", &[3 * i + p]))
+                        .collect::<Vec<_>>())
+                })
+                .collect();
+            ModelSetKey::from_models(&dbs)
+        };
+        let first = part(0, &[&[1, 4], &[2]]);
+        let second = part(1, &[&[1], &[2, 3], &[]]);
+        let third = part(2, &[&[0, 2, 5]]);
+        assert_eq!(
+            (
+                first.model_count(),
+                second.model_count(),
+                third.model_count()
+            ),
+            (2, 3, 1)
+        );
+        let keys = [&first, &second, &third];
+        let joint = ModelSetKey::product(&keys);
+        assert_eq!(joint, nested_product(&keys));
+        assert_eq!(joint.model_count(), 6);
+        for order in [[&second, &first, &third], [&third, &second, &first]] {
+            assert_eq!(
+                ModelSetKey::product(&order),
+                joint,
+                "part order is irrelevant"
+            );
+        }
+        // The empty product is the unit key; an empty part empties the product.
+        assert_eq!(ModelSetKey::product(&[]), nested_product(&[]));
+        assert_eq!(ModelSetKey::product(&[]).model_count(), 1);
+        let empty = ModelSetKey::empty();
+        let with_empty = [&first, &empty, &third];
+        assert_eq!(
+            ModelSetKey::product(&with_empty),
+            nested_product(&with_empty)
+        );
+        assert!(ModelSetKey::product(&with_empty).is_empty());
     }
 
     #[test]

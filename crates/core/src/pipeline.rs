@@ -16,8 +16,7 @@ use crate::ctx::Ctx;
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::factor::{
-    self, ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace,
-    FactoredSolve,
+    self, ChaseComponent, Factor, FactorAnalysis, FactoredOutputSpace, FactoredSolve,
 };
 use crate::grounding::Grounder;
 use crate::mc::MonteCarlo;
@@ -27,8 +26,9 @@ use crate::program::Program;
 use crate::semantics::OutputSpace;
 use crate::simple_grounder::SimpleGrounder;
 use crate::translate::SigmaPi;
-use gdlog_data::Database;
+use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{CancelToken, StableModelLimits};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Which grounder the pipeline should use.
@@ -270,12 +270,15 @@ impl Pipeline {
     /// wall of the flat enumeration. Programs with a single component fall
     /// back to [`Pipeline::solve`] byte-for-byte.
     ///
-    /// Component chases always run on a fresh simple grounder regardless of
-    /// the pipeline's configured grounder: the perfect grounder's
-    /// stratum-cursor saturation intentionally stalls at the stratum of an
-    /// undefined trigger, and in a component chase every *other* component's
-    /// `Active` atoms stay undefined forever by design. Stable-model solving
-    /// per factor reuses the pipeline's executor, limits and memo table.
+    /// Each component is chased on its own slice of `Σ_Π[D]`: every non-fact
+    /// rule and AtR schema, but only the fact rules whose heads lie in the
+    /// component. Rule footprints never cross components, so grounding from
+    /// the component's facts derives exactly its share of every flat
+    /// outcome, and the work is linear in the number of components. The
+    /// slices run on a simple grounder regardless of the pipeline's
+    /// configured one (the split is by ground facts, not by strata).
+    /// Stable-model solving per factor reuses the pipeline's executor,
+    /// limits and memo table.
     ///
     /// The [`FactorAnalysis`] verdict is reported by the CLI as
     /// `analysis: static|dynamic`; it only records whether universe
@@ -287,13 +290,19 @@ impl Pipeline {
         let Some(components) = components else {
             return Ok((FactoredSolve::Flat(self.solve()?), analysis));
         };
-        let mut simple = SimpleGrounder::new(self.sigma.clone());
-        simple.set_cancel(self.ctx.cancel.clone());
+        let slices = {
+            let part: HashMap<&GroundAtom, usize> = components
+                .iter()
+                .enumerate()
+                .flat_map(|(i, c)| c.atoms.iter().map(move |a| (a, i)))
+                .collect();
+            self.sigma.slice_facts(components.len(), |fact| part[fact])
+        };
         let mut factors = Vec::with_capacity(components.len());
-        for component in components {
-            let grounder = ComponentGrounder::new(&simple, &component.triggers);
+        for (component, slice) in components.into_iter().zip(slices) {
+            let mut grounder = SimpleGrounder::new(Arc::new(slice));
+            grounder.set_cancel(self.ctx.cancel.clone());
             let chase = enumerate_outcomes_in(&grounder, &self.budget, self.order, &self.ctx)?;
-            let chase = factor::restrict_outcomes(chase, &component.atoms);
             let space = OutputSpace::from_chase(chase, &self.limits, &self.ctx)?;
             factors.push(Factor {
                 atoms: component.atoms,

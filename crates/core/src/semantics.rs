@@ -200,6 +200,11 @@ impl OutputSpace {
         self.partition.mass_of(key)
     }
 
+    /// Did any explored outcome produce the event with the given key?
+    pub(crate) fn has_event(&self, key: &ModelSetKey) -> bool {
+        self.partition.samples_of(key) > 0
+    }
+
     /// The residual mass: the error event (infinite outcomes) plus any mass
     /// the exploration budget did not reach.
     pub fn residual_mass(&self) -> Prob {

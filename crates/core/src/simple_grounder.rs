@@ -119,7 +119,7 @@ impl Grounder for SimpleGrounder {
 
 /// Instantiate `rule` under the homomorphism `h` and add it to `new_rules`
 /// unless a negative body atom is contradicted by `neg_reference`.
-fn instantiate(
+pub(crate) fn instantiate(
     rule: &TgdRule,
     h: &Substitution,
     neg_reference: Option<&Database>,

@@ -294,6 +294,37 @@ impl SigmaPi {
         idx
     }
 
+    /// Slices of `Σ_Π[D]` over a partition of its fact rules: each slice
+    /// keeps every non-fact rule and AtR schema, and a fact rule `→ α` (empty
+    /// positive body, so `α` is ground by safety) goes only to slice
+    /// `part_of(α)`. One pass over the rules, keeping their order.
+    pub(crate) fn slice_facts(
+        &self,
+        parts: usize,
+        part_of: impl Fn(&GroundAtom) -> usize,
+    ) -> Vec<SigmaPi> {
+        let mut slices: Vec<SigmaPi> = (0..parts)
+            .map(|_| SigmaPi {
+                rules: Vec::new(),
+                atr_schemas: self.atr_schemas.clone(),
+                delta: self.delta.clone(),
+                active_index: self.active_index.clone(),
+                original_schema: self.original_schema.clone(),
+            })
+            .collect();
+        for rule in &self.rules {
+            if rule.pos.is_empty() {
+                let fact = rule.head.to_ground().expect("safety grounds fact heads");
+                slices[part_of(&fact)].rules.push(rule.clone());
+            } else {
+                for slice in &mut slices {
+                    slice.rules.push(rule.clone());
+                }
+            }
+        }
+        slices
+    }
+
     /// Is `p` one of the generated `Active` predicates?
     pub fn is_active_predicate(&self, p: &Predicate) -> bool {
         self.active_index.contains_key(p)

@@ -6,9 +6,9 @@
 //!
 //! Interned strings live for the lifetime of the process (they are leaked on
 //! first interning), which lets [`Symbol::as_str`] hand out `&'static str`
-//! without taking the interner lock or allocating — `Display` of atoms,
-//! rules and databases sits on this path and used to allocate a fresh
-//! `String` under a global lock per call.
+//! without allocating. Resolution reads an append-only table of write-once
+//! slots, so `Display` and every symbol comparison (each sort of atoms, each
+//! `BTreeSet<GroundAtom>` lookup) run without taking the interner lock.
 
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -86,6 +86,13 @@ impl From<String> for Symbol {
     }
 }
 
+/// Number of segments of the lock-free string table: segment `s` holds
+/// `2^s` slots, so the table covers every `u32` index but `u32::MAX`.
+const SEGMENTS: usize = 32;
+
+/// One segment of the string table: write-once slots, allocated on first use.
+type Segment = OnceLock<Box<[OnceLock<&'static str>]>>;
+
 /// A thread-safe string interner.
 ///
 /// Most users never construct one directly: [`Symbol::new`] uses a global
@@ -93,15 +100,14 @@ impl From<String> for Symbol {
 /// need isolated symbol tables. Interned strings are leaked (they live until
 /// process exit even if the interner is dropped); the set of distinct
 /// predicate, variable and constant names is small and bounded in practice.
+///
+/// Interning takes the `RwLock`; resolving does not. Index `i` lives in
+/// segment `⌊log₂(i + 1)⌋`, and its slot is filled under the write lock
+/// before the symbol is handed out, so segments never move.
 #[derive(Default)]
 pub struct Interner {
-    inner: RwLock<InternerInner>,
-}
-
-#[derive(Default)]
-struct InternerInner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+    map: RwLock<HashMap<&'static str, u32>>,
+    table: [Segment; SEGMENTS],
 }
 
 impl Interner {
@@ -110,39 +116,50 @@ impl Interner {
         Self::default()
     }
 
+    /// The segment and offset of index `idx` in the string table.
+    fn locate(idx: u32) -> (usize, usize) {
+        let n = idx as usize + 1;
+        let s = n.ilog2() as usize;
+        (s, n - (1 << s))
+    }
+
     /// Intern `name`, returning its (stable) symbol.
     pub fn intern(&self, name: &str) -> Symbol {
-        {
-            let guard = self.inner.read();
-            if let Some(&idx) = guard.map.get(name) {
-                return Symbol(idx);
-            }
+        if let Some(&idx) = self.map.read().get(name) {
+            return Symbol(idx);
         }
-        let mut guard = self.inner.write();
-        if let Some(&idx) = guard.map.get(name) {
+        let mut map = self.map.write();
+        if let Some(&idx) = map.get(name) {
             return Symbol(idx);
         }
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let idx = guard.strings.len() as u32;
-        guard.strings.push(leaked);
-        guard.map.insert(leaked, idx);
+        let idx = map.len() as u32;
+        let (s, at) = Self::locate(idx);
+        self.table[s].get_or_init(|| (0..1usize << s).map(|_| OnceLock::new()).collect())[at]
+            .set(leaked)
+            .expect("each index is filled once, under the write lock");
+        map.insert(leaked, idx);
         Symbol(idx)
     }
 
-    /// Resolve a symbol previously returned by [`Interner::intern`].
+    /// Resolve a symbol previously returned by [`Interner::intern`], without
+    /// taking the lock.
     ///
     /// # Panics
     ///
     /// Panics if the symbol was interned by a different interner and is out of
     /// range for this one.
     pub fn resolve(&self, sym: Symbol) -> &'static str {
-        let guard = self.inner.read();
-        guard.strings[sym.0 as usize]
+        let (s, at) = Self::locate(sym.0);
+        self.table[s]
+            .get()
+            .and_then(|segment| segment[at].get())
+            .expect("symbol was not interned by this interner")
     }
 
     /// Number of distinct strings interned so far.
     pub fn len(&self) -> usize {
-        self.inner.read().strings.len()
+        self.map.read().len()
     }
 
     /// Whether no strings have been interned yet.
@@ -247,5 +264,37 @@ mod tests {
         }
         // (i + t) % 50 always lies in 0..50, so exactly 50 distinct strings.
         assert_eq!(interner.len(), 50);
+    }
+
+    #[test]
+    fn concurrent_intern_and_resolve_agree() {
+        // Overlapping names across threads, resolved while other threads are
+        // still interning (and growing the table past several segments).
+        let interner = std::sync::Arc::new(Interner::new());
+        let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let (interner, start) = (interner.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..300 {
+                        let name = format!("name{}", (i * 7 + t * 50) % 400);
+                        let sym = interner.intern(&name);
+                        assert_eq!(interner.resolve(sym), name);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        for i in 0..interner.len() as u32 {
+            let s = interner.resolve(Symbol(i));
+            assert_eq!(
+                interner.intern(s),
+                Symbol(i),
+                "{s} resolves to its own symbol"
+            );
+        }
     }
 }
