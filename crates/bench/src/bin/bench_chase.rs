@@ -14,9 +14,10 @@
 //! Before anything is timed the three modes must agree **exactly** — same
 //! outcome list (order included), probabilities, residual mass and visited
 //! node count — and the Monte-Carlo estimates must be bit-identical between
-//! sequential and parallel (per-walk RNG streams derive from the root seed).
+//! the reground, incremental and parallel modes (per-walk RNG streams derive
+//! from the root seed, and each estimate's walk tree grounds a node once).
 //! The JSON carries a fingerprint of the outcome sets so CI can diff runs
-//! across a `GDLOG_THREADS` matrix.
+//! across a `GDLOG_THREADS` matrix, and the command line that wrote it.
 //!
 //! Workload scales live in one table, `workloads::chase_workload_suite`, so
 //! the CI smoke scale and the full measurement scale cannot drift.
@@ -246,6 +247,13 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"chase_incremental\",\n");
+    json.push_str(&format!(
+        "  \"command\": \"{}\",\n",
+        std::iter::once("bench_chase")
+            .chain(args.iter().map(String::as_str))
+            .collect::<Vec<_>>()
+            .join(" ")
+    ));
     json.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         if full { "full" } else { "small" }

@@ -32,6 +32,7 @@ use crate::chase::ChaseBudget;
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::factor::FactoredSolve;
+use crate::mc::MonteCarlo;
 use crate::model_cache::ModelCacheStats;
 use crate::pipeline::{McParams, Pipeline};
 use crate::program::Program;
@@ -45,10 +46,6 @@ use std::time::Duration;
 /// One solved output space plus the bookkeeping a response reports about
 /// its solve. Shared by every query whose [`SolveKey`] matches.
 struct SolveEntry {
-    /// The pipeline that ran the solve, kept warm for Monte-Carlo requests
-    /// (sampling reuses its grounder and executor; walks are seed-split, so
-    /// results are independent of the pipeline's history).
-    pipeline: Pipeline,
     solve: FactoredSolve,
     nodes_visited: usize,
     analysis: &'static str,
@@ -189,7 +186,6 @@ impl Solver {
             };
         let entry = Arc::new(SolveEntry {
             stats: pipeline.stable_cache_stats(),
-            pipeline,
             solve,
             nodes_visited,
             analysis,
@@ -266,17 +262,17 @@ impl Solver {
 
         let mut mc_reports = Vec::new();
         if let Some(mc) = &request.mc {
+            // The walks ground on a grounder of this call's own, which
+            // observes this call's token and no other: a deadline stops
+            // their saturations at the next round, and the token of the
+            // query that solved the entry never reaches them.
+            let mut grounder = request
+                .grounder
+                .build(Arc::clone(&self.sigma), self.stratified)?;
+            grounder.set_cancel(cancel.clone());
             for atom in &request.queries {
-                // The entry's pipeline carries the token of the query that
-                // solved it; a warm-served MC must observe *this* call's
-                // deadline, so the fresh token is attached explicitly.
-                let mut estimator = entry
-                    .pipeline
-                    .sampler_with(
-                        McParams::new()
-                            .with_max_triggers(mc.max_triggers)
-                            .with_seed(mc.seed),
-                    )
+                let mut estimator = MonteCarlo::new(grounder.as_ref(), mc.max_triggers, mc.seed)
+                    .with_executor(&self.executor)
                     .with_cancel(cancel.clone());
                 let stats = estimator.estimate(mc.samples, |outcome| {
                     outcome.full_program().heads().contains(atom)
@@ -522,6 +518,99 @@ mod tests {
             .expect_err("mc is exact-sample-count-or-nothing");
         assert!(matches!(err, CoreError::Interrupted(_)));
         assert!(err.to_string().contains("monte-carlo"));
+    }
+
+    #[test]
+    fn a_fired_solve_token_does_not_poison_later_monte_carlo() {
+        // The entry is solved under token T, which fires only after the
+        // solve is cached (a deadline running out during the query's own
+        // Monte-Carlo, say). Later queries on the warm entry must not see T.
+        let solver = network_solver();
+        let token = CancelToken::new();
+        solver
+            .query_until(&QueryRequest::new(), &token)
+            .expect("solve completes before the token fires");
+        assert_eq!(solver.warm_solves(), 1);
+        token.cancel();
+        let request = QueryRequest::new()
+            .query(GroundAtom::make("Uninfected", vec![Const::Int(2)]))
+            .monte_carlo(McRequest::samples(300).with_seed(4));
+        let warm = solver.query(&request).expect("no deadline on this query");
+        let fresh = network_solver().query(&request).expect("fresh solver");
+        assert_eq!(warm.render_json(), fresh.render_json());
+    }
+
+    /// One fair coin whose toss starts a walk along an `n`-edge chain: the
+    /// root grounds in a couple of rounds over the facts, but grounding the
+    /// toss's child takes `n` saturation rounds.
+    fn chain_after_toss_solver(n: i64) -> Solver {
+        use crate::builder::ProgramBuilder;
+        use gdlog_data::Term;
+        let mut db = Database::new();
+        db.insert_fact("Coin", [Const::Int(1)]);
+        db.insert_fact("Start", [Const::Int(0)]);
+        for i in 0..n {
+            db.insert_fact("Edge", [Const::Int(i), Const::Int(i + 1)]);
+        }
+        let program = ProgramBuilder::new()
+            .rule(|r| {
+                r.body("Coin", vec![Term::var("x")]).head_with_delta(
+                    "Toss",
+                    vec![Term::var("x")],
+                    "Flip",
+                    vec![Term::Const(Const::real(0.5).unwrap())],
+                    vec![Term::var("x")],
+                )
+            })
+            .rule(|r| {
+                r.body("Toss", vec![Term::var("x"), Term::var("v")])
+                    .body("Start", vec![Term::var("s")])
+                    .head("Reach", vec![Term::var("s")])
+            })
+            .rule(|r| {
+                r.body("Reach", vec![Term::var("x")])
+                    .body("Edge", vec![Term::var("x"), Term::var("y")])
+                    .head("Reach", vec![Term::var("y")])
+            })
+            .build()
+            .unwrap();
+        Solver::compile("chain", &program, &db, Arc::new(Executor::sequential())).expect("compile")
+    }
+
+    #[test]
+    fn a_cold_monte_carlo_deadline_cuts_the_walk_saturation() {
+        // The chase budget stops at the root, so the solve only grounds the
+        // facts; the single walk then saturates a 32000-edge chain, which
+        // takes over ten times as long. A deadline set after the solve
+        // must stop that saturation, not wait for the walk to end.
+        let n = 32000;
+        let request = QueryRequest::new()
+            .with_budget(ChaseBudget {
+                max_depth: 0,
+                ..ChaseBudget::default()
+            })
+            .query(GroundAtom::make("Reach", vec![Const::Int(n)]));
+        let started = std::time::Instant::now();
+        chain_after_toss_solver(n)
+            .query(&request)
+            .expect("the solve alone");
+        let solve = started.elapsed();
+        let solver = chain_after_toss_solver(n);
+        let timeout = 2 * solve + Duration::from_millis(100);
+        let request = request
+            .monte_carlo(McRequest::samples(1))
+            .with_timeout_ms(timeout.as_millis() as u64);
+        let started = std::time::Instant::now();
+        let err = solver
+            .query(&request)
+            .expect_err("the deadline fires during the walk");
+        let elapsed = started.elapsed();
+        assert!(matches!(err, CoreError::Interrupted(_)));
+        assert_eq!(solver.warm_solves(), 1, "the solve finished in time");
+        assert!(
+            elapsed < timeout + 4 * solve,
+            "took {elapsed:?} against a {timeout:?} deadline"
+        );
     }
 
     #[test]

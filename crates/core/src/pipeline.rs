@@ -53,6 +53,20 @@ impl GrounderChoice {
             GrounderChoice::Auto => "auto",
         }
     }
+
+    /// Build the chosen grounder for `sigma`. `stratified` is the source
+    /// program's stratification verdict (it drives [`GrounderChoice::Auto`]).
+    pub(crate) fn build(
+        self,
+        sigma: Arc<SigmaPi>,
+        stratified: bool,
+    ) -> Result<Box<dyn Grounder>, CoreError> {
+        Ok(match self {
+            GrounderChoice::Perfect => Box::new(PerfectGrounder::new(sigma)?),
+            GrounderChoice::Auto if stratified => Box::new(PerfectGrounder::new(sigma)?),
+            GrounderChoice::Simple | GrounderChoice::Auto => Box::new(SimpleGrounder::new(sigma)),
+        })
+    }
 }
 
 /// Monte-Carlo sampling parameters for [`Pipeline::sampler_with`].
@@ -136,17 +150,7 @@ impl Pipeline {
         stratified: bool,
         choice: GrounderChoice,
     ) -> Result<Self, CoreError> {
-        let grounder: Box<dyn Grounder> = match choice {
-            GrounderChoice::Simple => Box::new(SimpleGrounder::new(sigma.clone())),
-            GrounderChoice::Perfect => Box::new(PerfectGrounder::new(sigma.clone())?),
-            GrounderChoice::Auto => {
-                if stratified {
-                    Box::new(PerfectGrounder::new(sigma.clone())?)
-                } else {
-                    Box::new(SimpleGrounder::new(sigma.clone()))
-                }
-            }
-        };
+        let grounder = choice.build(Arc::clone(&sigma), stratified)?;
         Ok(Pipeline {
             sigma,
             grounder,

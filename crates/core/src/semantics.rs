@@ -29,6 +29,9 @@ pub struct OutputSpace {
     residual: Prob,
     truncated: bool,
     interrupted: bool,
+    /// [`OutputSpace::fingerprint`], computed on first use: the space never
+    /// changes after construction, and every response reports it.
+    fingerprint: OnceLock<String>,
 }
 
 impl OutputSpace {
@@ -177,6 +180,7 @@ impl OutputSpace {
             residual: residual_mass,
             truncated,
             interrupted,
+            fingerprint: OnceLock::new(),
         })
     }
 
@@ -287,17 +291,22 @@ impl OutputSpace {
     /// [`OutputSpace::events_by_mass`] listing plus the outcome count — the
     /// exact scheme `bench_stable` records per `GDLOG_THREADS` leg (see
     /// [`crate::fingerprint::fnv1a_fingerprint`]), so CLI reports, scenario
-    /// goldens and the bench JSONs all diff against each other.
+    /// goldens and the bench JSONs all diff against each other. Computed
+    /// once per space.
     pub fn fingerprint(&self) -> String {
-        crate::fingerprint::fnv1a_fingerprint(
-            self.events_by_mass()
-                .iter()
-                .map(|(key, mass)| format!("{key}@{mass};"))
-                .chain(std::iter::once(format!(
-                    "outcomes={};",
-                    self.outcome_count()
-                ))),
-        )
+        self.fingerprint
+            .get_or_init(|| {
+                crate::fingerprint::fnv1a_fingerprint(
+                    self.events_by_mass()
+                        .iter()
+                        .map(|(key, mass)| format!("{key}@{mass};"))
+                        .chain(std::iter::once(format!(
+                            "outcomes={};",
+                            self.outcome_count()
+                        ))),
+                )
+            })
+            .clone()
     }
 }
 
@@ -371,6 +380,28 @@ mod tests {
         let u3 = GroundAtom::make("Uninfected", vec![Const::Int(3)]);
         let both = space.probability_where(|k| k.brave(&u2) && k.brave(&u3));
         assert_eq!(both, Prob::ZERO);
+    }
+
+    #[test]
+    fn memoized_fingerprint_equals_a_fresh_computation() {
+        let space = output_for(&network_resilience_program(0.1), &network_db());
+        let fresh = crate::fingerprint::fnv1a_fingerprint(
+            space
+                .events_by_mass()
+                .iter()
+                .map(|(key, mass)| format!("{key}@{mass};"))
+                .chain(std::iter::once(format!(
+                    "outcomes={};",
+                    space.outcome_count()
+                ))),
+        );
+        // A clone taken before the first call computes its own value.
+        let early = space.clone();
+        assert_eq!(space.fingerprint(), fresh);
+        assert_eq!(space.fingerprint(), fresh, "second call reads the memo");
+        assert_eq!(early.fingerprint(), fresh);
+        // A clone taken after it carries the memo along.
+        assert_eq!(space.clone().fingerprint(), fresh);
     }
 
     #[test]

@@ -389,6 +389,24 @@ fn chase_enumeration_is_unchanged_by_incremental_snapshot_sharing() {
     compare(&PerfectGrounder::new(sigma).unwrap());
 }
 
+/// `P(x) → P(Geometric⟨1/2⟩[x])`: every new value opens a new trigger, so
+/// a walk runs until it redraws a value it has seen, with no bound on its
+/// length.
+fn geometric_chain() -> Program {
+    ProgramBuilder::new()
+        .rule(|r| {
+            r.body("P", vec![Term::var("x")]).head_with_delta(
+                "P",
+                vec![],
+                "Geometric",
+                vec![Term::Const(Const::real(0.5).unwrap())],
+                vec![Term::var("x")],
+            )
+        })
+        .build()
+        .unwrap()
+}
+
 /// The thread counts the parallel-equivalence properties sweep: sequential,
 /// an odd count that never divides the branch fan-out evenly, and more
 /// workers than any of the small workloads can saturate.
@@ -494,6 +512,68 @@ proptest! {
                     prop_assert_eq!(sequential.abandoned, parallel.abandoned);
                     prop_assert_eq!(sequential.samples, parallel.samples);
                 }
+            }
+        }
+    }
+
+    /// The walk tree of `MonteCarlo::estimate` reproduces fresh walks: the
+    /// same mean and abandoned count as tallying `sample_outcome` over
+    /// `walk_rng(seed, i)`, and a second estimate continues the walk stream
+    /// identically. Covers the simple grounder on rings, the perfect
+    /// grounder on the coin chain and dime/quarter, and a `Geometric` chain
+    /// (countably infinite support) whose tight trigger budget abandons
+    /// walks.
+    #[test]
+    fn walk_tree_estimates_equal_fresh_walks(
+        ring in 3usize..=4,
+        coins in 1usize..=4,
+        p in 1u32..=9u32,
+        seed in 0u64..1000,
+    ) {
+        use gdlog::core::{sample_outcome, walk_rng, SampledPath};
+        use gdlog_bench::workloads::{coin_chain, dime_quarter_workload, network_database, Topology};
+        let translate = |program: &Program, db: &Database| {
+            Arc::new(SigmaPi::translate(program, db).unwrap())
+        };
+        let net = SimpleGrounder::new(translate(
+            &network_resilience_program(p as f64 / 10.0),
+            &network_database(ring, Topology::Ring),
+        ));
+        let (program, db) = coin_chain(coins, p as f64 / 10.0);
+        let chain = PerfectGrounder::new(translate(&program, &db)).unwrap();
+        let (program, db) = dime_quarter_workload(2, 1);
+        let dime_quarter = PerfectGrounder::new(translate(&program, &db)).unwrap();
+        let mut db = Database::new();
+        db.insert_fact("P", [Const::Int(0)]);
+        let geometric = SimpleGrounder::new(translate(&geometric_chain(), &db));
+        let cases: [(&dyn Grounder, usize); 5] = [
+            (&net, 64),
+            (&net, 2),
+            (&chain, 64),
+            (&dime_quarter, 64),
+            (&geometric, 2),
+        ];
+
+        for (grounder, max_triggers) in cases {
+            // Depends on the grounding and on the path probability, so a
+            // tree node carrying either wrong changes the tally.
+            let event = |outcome: &gdlog::core::PossibleOutcome| {
+                outcome.rule_count() % 2 == 0
+                    && outcome.probability == outcome.atr.probability(grounder.sigma()).unwrap()
+            };
+            let mut mc = MonteCarlo::new(grounder, max_triggers, seed);
+            for (first, samples) in [(0u64, 30usize), (30, 20)] {
+                let stats = mc.estimate(samples, event).unwrap();
+                let (mut hits, mut abandoned) = (0usize, 0usize);
+                for walk in first..first + samples as u64 {
+                    let mut rng = walk_rng(seed, walk);
+                    match sample_outcome(grounder, max_triggers, &mut rng).unwrap() {
+                        SampledPath::Finite(outcome) => hits += usize::from(event(&outcome)),
+                        SampledPath::Abandoned { .. } => abandoned += 1,
+                    }
+                }
+                prop_assert_eq!(stats.estimate.mean, hits as f64 / samples as f64);
+                prop_assert_eq!(stats.abandoned, abandoned);
             }
         }
     }
