@@ -5,7 +5,8 @@
 //! `BENCH_grounding.json` summary.
 //!
 //! Usage: `bench_grounding [--full] [--out PATH]` (default: small scale,
-//! `BENCH_grounding.json` in the current directory).
+//! `BENCH_grounding.json` in the current directory). The JSON records the
+//! command line that wrote it.
 
 use gdlog_bench::workloads::{cascade_choice_set, grounding_network_suite, network_program};
 use gdlog_core::{AtrSet, Grounder, SigmaPi, SimpleGrounder};
@@ -87,8 +88,19 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"bench\": \"grounding_seminaive\",\n");
     json.push_str(&format!(
+        "  \"command\": \"{}\",\n",
+        std::iter::once("bench_grounding")
+            .chain(args.iter().map(String::as_str))
+            .collect::<Vec<_>>()
+            .join(" ")
+    ));
+    json.push_str(&format!(
         "  \"scale\": \"{}\",\n",
         if full { "full" } else { "small" }
+    ));
+    json.push_str(&format!(
+        "  \"available_parallelism\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     ));
     json.push_str(&format!(
         "  \"largest_workload\": \"{}\",\n  \"largest_workload_speedup\": {:.3},\n",

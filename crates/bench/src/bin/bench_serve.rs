@@ -30,7 +30,8 @@
 //! Usage: `bench_serve [--threads N] [--out PATH] [--gate-warm]`
 //! (defaults: `GDLOG_THREADS` or 1 thread, `BENCH_serve.json` in the
 //! current directory). With `--gate-warm` the run exits non-zero unless at
-//! least two workloads reach a 5× warm-over-cold throughput floor.
+//! least two workloads reach a 5× warm-over-cold throughput floor. The JSON
+//! records the command line that wrote it.
 
 use gdlog_core::THREADS_ENV;
 use gdlog_server::{RetryPolicy, ServeClient, ServeConfig};
@@ -255,7 +256,17 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"resident_server\",\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
+    json.push_str(&format!(
+        "  \"command\": \"{}\",\n",
+        std::iter::once("bench_serve")
+            .chain(args.iter().map(String::as_str))
+            .collect::<Vec<_>>()
+            .join(" ")
+    ));
+    json.push_str(&format!(
+        "  \"threads\": {threads},\n  \"available_parallelism\": {},\n",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    ));
     json.push_str(&format!(
         "  \"cold_iters\": {COLD_ITERS},\n  \"warm_iters\": {WARM_ITERS},\n"
     ));

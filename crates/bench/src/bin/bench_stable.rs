@@ -1,6 +1,6 @@
 //! Stable-model back-end benchmark with a JSON summary: the seed `2^k`
 //! enumerator vs. the component-split propagating search, plus the parallel
-//! and memoized `OutputSpace::from_chase` paths.
+//! `OutputSpace::from_chase` path.
 //!
 //! PR 5 rebuilt the back-end that turns explored chase outcomes into the
 //! paper's output probability space (Definition 3.8). This tracker measures
@@ -11,15 +11,13 @@
 //!   ([`gdlog_engine::naive_stable_models`]), then build and sort the event
 //!   partition;
 //! * `scc_ms` — sequential [`OutputSpace::from_chase`]: component-split
-//!   propagating search, no cache;
-//! * `par_ms` — the same with one task per distinct outcome program on a
-//!   work-stealing pool (`--threads` workers), cold cache;
-//! * `warm_ms` — sequential with a warm [`ModelSetCache`], plus the cache
-//!   hit rate over one cold and `reps` warm passes.
+//!   propagating search;
+//! * `par_ms` — the same with one task per outcome on a work-stealing pool
+//!   (`--threads` workers).
 //!
 //! Before anything is timed the three semantic paths must agree **exactly**:
 //! per-outcome event keys and the mass-sorted event listing are compared
-//! between naive, sequential SCC and parallel+memoized, and a
+//! between naive, sequential SCC and parallel, and a
 //! `GDLOG_THREADS`-style sweep asserts `events_by_mass` is bit-identical at
 //! 1, 2 and 8 threads. The JSON carries an event-listing fingerprint so CI
 //! can diff runs across its thread matrix.
@@ -37,8 +35,8 @@
 
 use gdlog_bench::workloads::stable_workload_suite;
 use gdlog_core::{
-    enumerate_outcomes, ChaseBudget, ChaseResult, Ctx, Executor, ModelSetCache, ModelSetKey,
-    OutputSpace, TriggerOrder, THREADS_ENV,
+    enumerate_outcomes, ChaseBudget, ChaseResult, Ctx, Executor, ModelSetKey, OutputSpace,
+    TriggerOrder, THREADS_ENV,
 };
 use gdlog_engine::{naive_stable_models, StableModelLimits};
 use gdlog_prob::{EventPartition, Prob};
@@ -53,8 +51,6 @@ struct Row {
     naive_ms: f64,
     scc_ms: f64,
     par_ms: f64,
-    warm_ms: f64,
-    cache_hit_rate: f64,
     sweep_ms: Vec<(usize, f64)>,
 }
 
@@ -65,10 +61,6 @@ impl Row {
 
     fn par_speedup(&self) -> f64 {
         self.scc_ms / self.par_ms
-    }
-
-    fn warm_speedup(&self) -> f64 {
-        self.scc_ms / self.warm_ms
     }
 }
 
@@ -120,8 +112,8 @@ fn measure(name: &str, grounder: &dyn gdlog_core::Grounder, reps: usize, par: &C
         .expect("chase enumeration succeeds");
 
     // Semantic three-way agreement before anything is timed: naive keys,
-    // sequential SCC keys and the parallel+memoized keys must be identical
-    // per outcome, and so must the mass-sorted event listings.
+    // sequential SCC keys and the parallel keys must be identical per
+    // outcome, and so must the mass-sorted event listings.
     let naive = naive_events(&chase, &limits);
     let sequential = OutputSpace::from_chase(chase.clone(), &limits, &seq)
         .expect("sequential from_chase succeeds");
@@ -138,17 +130,16 @@ fn measure(name: &str, grounder: &dyn gdlog_core::Grounder, reps: usize, par: &C
             "{name}: SCC search changed the key of {outcome}"
         );
     }
-    let memoized = OutputSpace::from_chase(
-        chase.clone(),
-        &limits,
-        &par.clone().with_cache(Arc::new(ModelSetCache::new())),
-    )
-    .expect("parallel from_chase succeeds");
+    let parallel =
+        OutputSpace::from_chase(chase.clone(), &limits, par).expect("parallel from_chase succeeds");
     assert_eq!(
         sequential.events_by_mass(),
-        memoized.events_by_mass(),
-        "{name}: parallel+memoized from_chase changed the event listing"
+        parallel.events_by_mass(),
+        "{name}: parallel from_chase changed the event listing"
     );
+    for (got, want) in parallel.outcomes().iter().zip(sequential.outcomes()) {
+        assert_eq!(got.1, want.1, "{name}: parallel key of {}", got.0);
+    }
 
     // Thread sweep: bit-identical events at 1, 2 and 8 threads.
     let mut sweep_ms = Vec::new();
@@ -181,18 +172,6 @@ fn measure(name: &str, grounder: &dyn gdlog_core::Grounder, reps: usize, par: &C
             .event_count()
     });
 
-    // Warm-cache column: one cold pass primes the cache, the timed passes
-    // hit it; the hit rate covers the cold + warm sequence.
-    let warm_cache = Arc::new(ModelSetCache::new());
-    let warm = Ctx::sequential().with_cache(warm_cache.clone());
-    OutputSpace::from_chase(chase.clone(), &limits, &warm).expect("priming pass succeeds");
-    let warm_ms = time_min_ms(reps, || {
-        OutputSpace::from_chase(chase.clone(), &limits, &warm)
-            .unwrap()
-            .event_count()
-    });
-    let cache_hit_rate = warm_cache.stats().hit_rate();
-
     let events = sequential.events_by_mass();
     let row = Row {
         name: name.to_owned(),
@@ -202,19 +181,15 @@ fn measure(name: &str, grounder: &dyn gdlog_core::Grounder, reps: usize, par: &C
         naive_ms,
         scc_ms,
         par_ms,
-        warm_ms,
-        cache_hit_rate,
         sweep_ms,
     };
     eprintln!(
         "{name}: outcomes={} events={} naive {naive_ms:.2}ms -> scc {scc_ms:.2}ms ({:.2}x) -> \
-         par {par_ms:.2}ms ({:.2}x) -> warm {warm_ms:.2}ms ({:.2}x, hit rate {:.2})",
+         par {par_ms:.2}ms ({:.2}x)",
         row.outcomes,
         row.events,
         row.speedup(),
         row.par_speedup(),
-        row.warm_speedup(),
-        row.cache_hit_rate,
     );
     row
 }
@@ -291,7 +266,6 @@ fn main() {
              \"fingerprint\": \"{}\", \
              \"naive_ms\": {:.3}, \"scc_ms\": {:.3}, \"speedup\": {:.3}, \
              \"par_ms\": {:.3}, \"par_speedup\": {:.3}, \
-             \"warm_ms\": {:.3}, \"warm_speedup\": {:.3}, \"cache_hit_rate\": {:.3}, \
              \"thread_sweep\": [{sweep}]}}{}\n",
             r.name,
             r.outcomes,
@@ -302,9 +276,6 @@ fn main() {
             r.speedup(),
             r.par_ms,
             r.par_speedup(),
-            r.warm_ms,
-            r.warm_speedup(),
-            r.cache_hit_rate,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

@@ -13,7 +13,7 @@
 //! factored.
 
 use super::json::Json;
-use crate::model_cache::ModelCacheStats;
+use crate::pipeline::ModelCacheStats;
 use gdlog_prob::Prob;
 use std::fmt::Write as _;
 
@@ -101,10 +101,10 @@ pub struct QueryResponse {
     pub interrupted: bool,
     /// Probability that at least one stable model exists.
     pub p_stable: Prob,
-    /// Stable-model memo-table counters of the solve that produced this
-    /// response's output space. The counters are a property of the *solve*,
-    /// not of the serving process: a warm response replays the stats of the
-    /// original cold solve, so warm and cold responses are byte-identical.
+    /// Stable-model counters of the solve that produced this response's
+    /// output space. The counters are a property of the *solve*, not of the
+    /// serving process: a warm response replays the stats of the original
+    /// cold solve, so warm and cold responses are byte-identical.
     pub stable_cache: ModelCacheStats,
     /// FNV-1a fingerprint of the event listing (the bench scheme).
     pub fingerprint: String,

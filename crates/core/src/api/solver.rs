@@ -11,13 +11,10 @@
 //! path the resident server multiplexes sessions onto.
 //!
 //! Determinism contract: a warm response is **byte-identical** to the cold
-//! one. Each solve entry runs on a pipeline with a *fresh* stable-model memo
-//! table, and the response's `stable_cache` counters are the snapshot taken
-//! when the entry was solved — exactly what a one-shot CLI process reports —
-//! so replaying a query against a warm solver cannot observe the serving
-//! process's history. (Sharing one memo table across entries or programs
-//! would leak observable hit-rate differences into responses; the
-//! solve-entry cache strictly subsumes the warmth it would buy.)
+//! one. Each solve entry runs on a fresh pipeline, and the response's
+//! `stable_cache` counters are the snapshot taken when the entry was solved —
+//! exactly what a one-shot CLI process reports — so replaying a query against
+//! a warm solver cannot observe the serving process's history.
 //!
 //! Strategy dispatch: [`SolveStrategy::Auto`] picks flat vs factored via the
 //! PR-8 *static* analysis alone — a positive `min_path_probability` or the
@@ -33,8 +30,7 @@ use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::factor::FactoredSolve;
 use crate::mc::MonteCarlo;
-use crate::model_cache::ModelCacheStats;
-use crate::pipeline::{McParams, Pipeline};
+use crate::pipeline::{McParams, ModelCacheStats, Pipeline};
 use crate::program::Program;
 use crate::translate::SigmaPi;
 use gdlog_data::Database;
@@ -162,8 +158,8 @@ impl Solver {
         if let Some((_, entry)) = solves.iter().find(|(k, _)| *k == key) {
             return Ok(Arc::clone(entry));
         }
-        // Fresh stable-model memo table per entry: see the determinism
-        // contract in the module docs.
+        // Fresh pipeline per entry: see the determinism contract in the
+        // module docs.
         let pipeline =
             Pipeline::from_sigma(Arc::clone(&self.sigma), self.stratified, key.grounder)?
                 .budget(key.budget)

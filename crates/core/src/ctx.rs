@@ -3,21 +3,18 @@
 //! Each operation of the pipeline — the chase ([`crate::enumerate_outcomes_in`]),
 //! the stable-model keying ([`crate::OutputSpace::from_chase`]) and the
 //! factor analysis ([`crate::factor::analyze`]) — is one call taking a
-//! [`Ctx`]: *where* work runs (the [`Executor`]), *when* it must stop (the
-//! [`CancelToken`]) and *what* it may reuse (the optional
-//! [`ModelSetCache`]). None of the three changes a result: executors are
-//! bit-identical, cache hits are exact, and a token that never fires is the
-//! uncancelled run.
+//! [`Ctx`]: *where* work runs (the [`Executor`]) and *when* it must stop
+//! (the [`CancelToken`]). Neither changes a result: executors are
+//! bit-identical, and a token that never fires is the uncancelled run.
 
 use crate::exec::Executor;
-use crate::model_cache::ModelSetCache;
 use gdlog_engine::CancelToken;
 use std::sync::Arc;
 
-/// Executor, cancellation token and stable-model memo table of one run.
+/// Executor and cancellation token of one run.
 ///
-/// Cloning is cheap and shares all three: a clone runs on the same pool,
-/// observes the same token and fills the same cache.
+/// Cloning is cheap and shares both: a clone runs on the same pool and
+/// observes the same token.
 #[derive(Clone, Debug)]
 pub struct Ctx {
     /// The execution policy (shared so one pool can serve many pipelines).
@@ -25,34 +22,25 @@ pub struct Ctx {
     /// Observed at every chase node, grounding round, stable-model branch
     /// decision and factor-analysis round.
     pub cancel: CancelToken,
-    /// Memo table for `sms(Σ ∪ G(Σ))`; `None` solves every outcome afresh.
-    pub cache: Option<Arc<ModelSetCache>>,
 }
 
 impl Ctx {
-    /// Sequential, never cancelled, no memo table.
+    /// Sequential, never cancelled.
     pub fn sequential() -> Self {
         Self::new(Arc::new(Executor::sequential()))
     }
 
-    /// Run on `executor`, never cancelled, no memo table.
+    /// Run on `executor`, never cancelled.
     pub fn new(executor: Arc<Executor>) -> Self {
         Ctx {
             executor,
             cancel: CancelToken::never(),
-            cache: None,
         }
     }
 
     /// Observe `cancel`.
     pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
-        self
-    }
-
-    /// Memoize stable-model searches in `cache`.
-    pub fn with_cache(mut self, cache: Arc<ModelSetCache>) -> Self {
-        self.cache = Some(cache);
         self
     }
 }

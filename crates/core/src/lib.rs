@@ -48,7 +48,6 @@ pub mod factor;
 pub mod fingerprint;
 pub mod grounding;
 pub mod mc;
-pub mod model_cache;
 pub mod naive;
 pub mod outcome;
 pub mod perfect_grounder;
@@ -83,11 +82,10 @@ pub use fingerprint::fnv1a_fingerprint;
 pub use gdlog_engine::{CancelToken, DeadlineGuard};
 pub use grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};
 pub use mc::{sample_outcome, walk_rng, MonteCarlo, SampleStats, SampledPath};
-pub use model_cache::{ModelCacheStats, ModelSetCache, ProgramFingerprint};
 pub use naive::{NaivePerfectGrounder, NaiveSimpleGrounder};
 pub use outcome::{ModelSetKey, PossibleOutcome};
 pub use perfect_grounder::PerfectGrounder;
-pub use pipeline::{GrounderChoice, McParams, Pipeline};
+pub use pipeline::{GrounderChoice, McParams, ModelCacheStats, Pipeline};
 pub use program::{
     coin_program, dime_quarter_program, network_resilience_program, Program, AUX_PREDICATE,
     FAIL_PREDICATE,

@@ -184,17 +184,6 @@ impl PossibleOutcome {
         ))
     }
 
-    /// The canonical, collision-free identity of the outcome's ground
-    /// program `Σ ∪ G(Σ)` — the memoization key of
-    /// [`crate::ModelSetCache`]. Outcomes with equal fingerprints denote the
-    /// same program and therefore the same [`ModelSetKey`].
-    pub fn program_fingerprint(&self) -> crate::model_cache::ProgramFingerprint {
-        crate::model_cache::ProgramFingerprint::new(
-            self.atr.canonical(),
-            self.rules.canonical_rules(),
-        )
-    }
-
     /// Number of probabilistic choices made in this outcome.
     pub fn choice_count(&self) -> usize {
         self.atr.len()

@@ -20,7 +20,6 @@ use crate::factor::{
 };
 use crate::grounding::Grounder;
 use crate::mc::MonteCarlo;
-use crate::model_cache::{ModelCacheStats, ModelSetCache};
 use crate::perfect_grounder::PerfectGrounder;
 use crate::program::Program;
 use crate::semantics::OutputSpace;
@@ -29,6 +28,7 @@ use crate::translate::SigmaPi;
 use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{CancelToken, StableModelLimits};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Which grounder the pipeline should use.
@@ -107,6 +107,33 @@ impl Default for McParams {
     }
 }
 
+/// Stable-model counters of a [`Pipeline`], reported in the `stable_cache`
+/// block of every query response.
+///
+/// Every explored outcome gets its own stable-model search — distinct chase
+/// leaves have distinct choice sets (Lemma 4.3(2)), so no two share a ground
+/// program — hence `hits` is always zero and `misses` counts the outcomes
+/// keyed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ModelCacheStats {
+    /// Outcomes whose event key was served without a stable-model search.
+    pub hits: usize,
+    /// Outcomes whose stable models were searched.
+    pub misses: usize,
+}
+
+impl ModelCacheStats {
+    /// Hits as a fraction of all lookups (zero when nothing was looked up).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 /// A configured evaluation pipeline.
 pub struct Pipeline {
     sigma: Arc<SigmaPi>,
@@ -115,12 +142,11 @@ pub struct Pipeline {
     order: TriggerOrder,
     limits: StableModelLimits,
     /// The executor (shared so a resident [`crate::api::Solver`] can run
-    /// many pipelines on one pool), the cancellation token (also observed at
-    /// every Monte-Carlo walk boundary; defaults to one that never fires)
-    /// and the memo table for `sms(Σ ∪ G(Σ))` across outcomes and across
-    /// repeated [`Pipeline::solve`] calls — hits can never change a result,
-    /// since equal fingerprints mean equal programs.
+    /// many pipelines on one pool) and the cancellation token (also observed
+    /// at every Monte-Carlo walk boundary; defaults to one that never fires).
     ctx: Ctx,
+    /// Outcomes keyed by this pipeline's solves ([`ModelCacheStats::misses`]).
+    keyed: AtomicUsize,
 }
 
 impl Pipeline {
@@ -161,8 +187,8 @@ impl Pipeline {
             // bit-identical either way, so the env knob (and the CI thread
             // matrix built on it) can parallelize every pipeline consumer
             // without touching call sites.
-            ctx: Ctx::new(Arc::new(Executor::from_env()))
-                .with_cache(Arc::new(ModelSetCache::new())),
+            ctx: Ctx::new(Arc::new(Executor::from_env())),
+            keyed: AtomicUsize::new(0),
         })
     }
 
@@ -221,11 +247,9 @@ impl Pipeline {
 
     /// Run the full pipeline: chase, stable models, output space.
     ///
-    /// The stable-model back-end fans one task per distinct outcome program
-    /// out to the pipeline's executor and memoizes solved programs in the
-    /// pipeline's cache (so repeated solves, and outcome families inducing
-    /// the same ground program, solve once). Results are bit-identical at
-    /// every thread count and with a warm or cold cache.
+    /// The stable-model back-end fans one task per explored outcome out to
+    /// the pipeline's executor. Results are bit-identical at every thread
+    /// count.
     pub fn solve(&self) -> Result<OutputSpace, CoreError> {
         let chase = self.chase()?;
         self.space_from_chase(chase)
@@ -236,16 +260,19 @@ impl Pipeline {
     /// chase's own statistics — `nodes_visited` — can run the halves
     /// separately without re-chasing).
     pub fn space_from_chase(&self, chase: ChaseResult) -> Result<OutputSpace, CoreError> {
-        OutputSpace::from_chase(chase, &self.limits, &self.ctx)
+        let space = OutputSpace::from_chase(chase, &self.limits, &self.ctx)?;
+        self.keyed
+            .fetch_add(space.outcome_count(), Ordering::Relaxed);
+        Ok(space)
     }
 
-    /// Hit/miss counters of the stable-model memo table, accumulated over
-    /// every [`Pipeline::solve`] call on this pipeline.
+    /// Stable-model counters accumulated over every solve on this pipeline:
+    /// the outcomes keyed, summed over the factors of a factored solve.
     pub fn stable_cache_stats(&self) -> ModelCacheStats {
-        self.ctx
-            .cache
-            .as_ref()
-            .map_or_else(Default::default, |c| c.stats())
+        ModelCacheStats {
+            hits: 0,
+            misses: self.keyed.load(Ordering::Relaxed),
+        }
     }
 
     /// The chase-independence analysis for this pipeline's program and
@@ -281,8 +308,8 @@ impl Pipeline {
     /// outcome, and the work is linear in the number of components. The
     /// slices run on a simple grounder regardless of the pipeline's
     /// configured one (the split is by ground facts, not by strata).
-    /// Stable-model solving per factor reuses the pipeline's executor,
-    /// limits and memo table.
+    /// Stable-model solving per factor reuses the pipeline's executor and
+    /// limits.
     ///
     /// The [`FactorAnalysis`] verdict is reported by the CLI as
     /// `analysis: static|dynamic`; it only records whether universe
@@ -307,7 +334,7 @@ impl Pipeline {
             let mut grounder = SimpleGrounder::new(Arc::new(slice));
             grounder.set_cancel(self.ctx.cancel.clone());
             let chase = enumerate_outcomes_in(&grounder, &self.budget, self.order, &self.ctx)?;
-            let space = OutputSpace::from_chase(chase, &self.limits, &self.ctx)?;
+            let space = self.space_from_chase(chase)?;
             factors.push(Factor {
                 atoms: component.atoms,
                 space,
@@ -398,16 +425,16 @@ mod tests {
     fn solve_memoizes_across_calls_and_thread_counts() {
         let pipeline = Pipeline::new(&network_resilience_program(0.1), &network_db()).unwrap();
         let first = pipeline.solve().unwrap();
-        let after_first = pipeline.stable_cache_stats();
-        assert!(after_first.misses > 0);
         let second = pipeline.solve().unwrap();
-        let after_second = pipeline.stable_cache_stats();
-        assert_eq!(
-            after_second.misses, after_first.misses,
-            "a repeated solve must be served entirely from the memo table"
-        );
-        assert!(after_second.hits > after_first.hits);
         assert_eq!(first.events_by_mass(), second.events_by_mass());
+        // Nothing is memoized: each solve keys every outcome afresh.
+        assert_eq!(
+            pipeline.stable_cache_stats(),
+            ModelCacheStats {
+                hits: 0,
+                misses: 2 * first.outcome_count(),
+            }
+        );
 
         // A parallel pipeline produces a bit-identical output space.
         let par = Pipeline::new(&network_resilience_program(0.1), &network_db())

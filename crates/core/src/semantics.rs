@@ -11,12 +11,11 @@
 use crate::chase::ChaseResult;
 use crate::ctx::Ctx;
 use crate::error::CoreError;
-use crate::model_cache::ProgramFingerprint;
 use crate::outcome::{ModelSetKey, PossibleOutcome};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{CancelToken, StableModelLimits};
 use gdlog_prob::{EventPartition, Prob};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 /// The output of a GDatalog¬\[Δ\] program on a database relative to a
@@ -36,17 +35,15 @@ pub struct OutputSpace {
 
 impl OutputSpace {
     /// Build the output space from a chase enumeration by computing the
-    /// stable models of every explored outcome, fanning the per-outcome
-    /// searches out to `ctx`'s executor and memoizing them in its cache.
+    /// stable models of every explored outcome, one search per outcome,
+    /// fanned out to `ctx`'s executor.
     ///
-    /// Outcomes are first keyed by their [`ProgramFingerprint`] in outcome
-    /// order — outcomes inducing the same ground program (and entries of a
-    /// warm cache) are solved **once** — then the distinct programs are
-    /// dispatched one task each, and the results are merged back in outcome
-    /// order. Every field of the result, including [`OutputSpace::events_by_mass`]
-    /// and the first error surfaced, is **bit-identical across executors**:
-    /// the merge order, the partition aggregation and the deterministic
-    /// hit/miss accounting never depend on task scheduling.
+    /// Each outcome is its own task: distinct chase leaves have distinct
+    /// choice sets (Lemma 4.3(2)), so no two outcomes share a ground program
+    /// `Σ ∪ G(Σ)` and there is nothing to deduplicate. The results are merged
+    /// back in outcome order, so every field of the result, including
+    /// [`OutputSpace::events_by_mass`] and the first error surfaced, is
+    /// **bit-identical across executors**.
     ///
     /// Two cancellation regimes:
     ///
@@ -77,96 +74,43 @@ impl OutputSpace {
         } else {
             ctx.cancel.clone()
         };
-        let cache = ctx.cache.as_deref();
 
-        // Sequential keying pass: map every outcome to either an
-        // already-known key or a slot in the distinct-program work list.
-        // Fingerprints are only worth computing when a cache is in play —
-        // without one, every outcome is simply its own task.
-        enum Slot {
-            Ready(ModelSetKey),
-            Solved(usize),
-        }
-        let mut fingerprints: Vec<ProgramFingerprint> = Vec::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(outcomes.len());
-        let mut work: Vec<usize> = Vec::new(); // outcome index per distinct program
-        if let Some(cache) = cache {
-            fingerprints = outcomes
-                .iter()
-                .map(PossibleOutcome::program_fingerprint)
-                .collect();
-            let (mut hits, mut misses) = (0usize, 0usize);
-            let mut first_of: HashMap<&ProgramFingerprint, usize> = HashMap::new();
-            for (i, fp) in fingerprints.iter().enumerate() {
-                if let Some(key) = cache.peek(fp) {
-                    hits += 1;
-                    slots.push(Slot::Ready(key));
-                } else if let Some(&slot) = first_of.get(fp) {
-                    hits += 1;
-                    slots.push(Slot::Solved(slot));
-                } else {
-                    misses += 1;
-                    first_of.insert(fp, work.len());
-                    slots.push(Slot::Solved(work.len()));
-                    work.push(i);
-                }
-            }
-            drop(first_of);
-            cache.record(hits, misses);
-        } else {
-            work.extend(0..outcomes.len());
-            slots.extend((0..outcomes.len()).map(Slot::Solved));
-        }
-
-        // Solve each distinct program — one task per program on a parallel
-        // executor; inline otherwise. Tasks share no mutable state (each
-        // fills its own write-once cell).
+        // One task per outcome on a parallel executor; inline otherwise.
+        // Tasks share no mutable state (each fills its own write-once cell).
         let limits = *limits;
         let cells: Vec<OnceLock<Result<ModelSetKey, CoreError>>> =
-            work.iter().map(|_| OnceLock::new()).collect();
+            outcomes.iter().map(|_| OnceLock::new()).collect();
         match ctx.executor.pool() {
             None => {
-                for (cell, &i) in cells.iter().zip(&work) {
-                    let _ = cell.set(outcomes[i].model_set_key(&limits, &cancel));
+                for (cell, outcome) in cells.iter().zip(&outcomes) {
+                    let _ = cell.set(outcome.model_set_key(&limits, &cancel));
                 }
             }
             Some(pool) => {
-                let outcomes = &outcomes;
                 let cancel = &cancel;
                 pool.scope(|scope| {
-                    for (cell, &i) in cells.iter().zip(&work) {
+                    for (cell, outcome) in cells.iter().zip(&outcomes) {
                         scope.spawn(move |_| {
-                            let _ = cell.set(outcomes[i].model_set_key(&limits, cancel));
+                            let _ = cell.set(outcome.model_set_key(&limits, cancel));
                         });
                     }
                 });
             }
         }
-        let mut solved: Vec<ModelSetKey> = Vec::with_capacity(work.len());
-        for (slot, cell) in work.iter().zip(cells) {
-            let key = cell
-                .into_inner()
-                .expect("every solver task fills its cell")?;
-            if let Some(cache) = cache {
-                cache.insert(std::mem::take(&mut fingerprints[*slot]), key.clone());
-            }
-            solved.push(key);
-        }
 
         // Deterministic merge: outcomes move (never clone) into the keyed
         // listing in chase order; the partition aggregates one key clone per
         // outcome, nothing more.
-        let keyed: Vec<(PossibleOutcome, ModelSetKey)> = outcomes
+        let keyed = outcomes
             .into_iter()
-            .zip(slots)
-            .map(|(outcome, slot)| {
-                let key = match slot {
-                    Slot::Ready(key) => key,
-                    Slot::Solved(idx) => solved[idx].clone(),
-                };
-                (outcome, key)
+            .zip(cells)
+            .map(|(outcome, cell)| {
+                let key = cell
+                    .into_inner()
+                    .expect("every solver task fills its cell")?;
+                Ok((outcome, key))
             })
-            .collect();
+            .collect::<Result<Vec<(PossibleOutcome, ModelSetKey)>, CoreError>>()?;
         // The partition's residual is the chase's own figure — authoritative
         // over `1 − explored mass`, with which it agrees up to
         // floating-point noise.
@@ -417,9 +361,8 @@ mod tests {
             &Ctx::sequential(),
         )
         .unwrap();
-        let cache = Arc::new(crate::ModelSetCache::new());
         for threads in [1, 2, 8] {
-            let ctx = Ctx::new(Arc::new(crate::Executor::new(threads))).with_cache(cache.clone());
+            let ctx = Ctx::new(Arc::new(crate::Executor::new(threads)));
             let par = OutputSpace::from_chase(chase.clone(), &StableModelLimits::default(), &ctx)
                 .unwrap();
             assert_eq!(par.events_by_mass(), seq.events_by_mass());
@@ -429,13 +372,6 @@ mod tests {
                 assert_eq!(a.1, b.1, "per-outcome event keys must agree");
             }
         }
-        // Deterministic accounting: every outcome was looked up once per
-        // sweep, and after the cold first sweep everything was served warm.
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 3 * chase.outcomes.len());
-        assert!(stats.hits >= 2 * chase.outcomes.len());
-        assert!(stats.hit_rate() > 0.5);
-        assert_eq!(cache.len(), stats.misses);
     }
 
     #[test]

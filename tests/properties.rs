@@ -10,7 +10,7 @@
 use gdlog::core::{
     coin_program, dime_quarter_program, enumerate_outcomes, enumerate_outcomes_in,
     network_resilience_program, AtrRule, AtrSet, CancelToken, ChaseBudget, Ctx, Executor, Grounder,
-    ModelSetCache, ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace,
+    ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace,
     PerfectGrounder, Pipeline, SigmaPi, SimpleGrounder, StaticComponents, TriggerOrder,
 };
 use gdlog::prelude::*;
@@ -582,41 +582,64 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Theorem 3.9 + Lemma 4.4 on random small networks: the explored mass
-    /// plus the residual is exactly 1, the chase result does not depend on
-    /// the trigger order, and every outcome label is functionally consistent
-    /// (Lemma 4.3(1)) and distinct (4.3(2)).
+    /// Theorem 3.9 + Lemma 4.4 on random small networks, network rings and
+    /// coin chains (the negation/constraint programs of the parallel-chase
+    /// property), under the simple grounder and, for the stratified coin
+    /// chain, the perfect grounder: the explored mass plus the residual is
+    /// exactly 1, the chase result does not depend on the trigger order, and
+    /// every outcome label is functionally consistent (Lemma 4.3(1)) and
+    /// distinct (4.3(2)). Distinct labels mean distinct ground programs
+    /// `Σ ∪ G(Σ)`, so keying each outcome by its own stable-model search
+    /// never repeats a search.
     #[test]
-    fn chase_invariants_on_random_networks(db in network_db_strategy(), p in 1u32..=9u32) {
+    fn chase_invariants_on_random_networks(
+        db in network_db_strategy(),
+        p in 1u32..=9u32,
+        ring in 3usize..=4,
+        coins in 1usize..=5,
+    ) {
+        let translate = |program: &Program, db: &Database| {
+            Arc::new(SigmaPi::translate(program, db).unwrap())
+        };
         let program = network_resilience_program(p as f64 / 10.0);
-        let sigma = Arc::new(SigmaPi::translate(&program, &db).unwrap());
-        let grounder = SimpleGrounder::new(sigma);
+        let net = SimpleGrounder::new(translate(&program, &db));
+        let ring_db = gdlog_bench::workloads::network_database(
+            ring,
+            gdlog_bench::workloads::Topology::Ring,
+        );
+        let ring = SimpleGrounder::new(translate(&program, &ring_db));
+        let (program, db) = gdlog_bench::workloads::coin_chain(coins, p as f64 / 10.0);
+        let chain = SimpleGrounder::new(translate(&program, &db));
+        let perfect_chain = PerfectGrounder::new(translate(&program, &db)).unwrap();
+        let grounders: [&dyn Grounder; 4] = [&net, &ring, &chain, &perfect_chain];
         let budget = ChaseBudget::default();
 
-        let run = |order| enumerate_outcomes(&grounder, &budget, order).unwrap();
-        let first = run(TriggerOrder::First);
-        let last = run(TriggerOrder::Last);
+        for grounder in grounders {
+            let run = |order| enumerate_outcomes(grounder, &budget, order).unwrap();
+            let first = run(TriggerOrder::First);
+            let last = run(TriggerOrder::Last);
 
-        // Total probability mass is exactly one (all probabilities exact).
-        prop_assert_eq!(first.total_mass(), Prob::ONE);
+            // Total probability mass is exactly one (all probabilities exact).
+            prop_assert_eq!(first.total_mass(), Prob::ONE);
 
-        // Order independence: same multiset of (choice set, probability).
-        let canon = |r: &gdlog::core::ChaseResult| {
-            let mut v: Vec<String> = r
-                .outcomes
-                .iter()
-                .map(|o| format!("{}@{}", o.atr, o.probability))
-                .collect();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(canon(&first), canon(&last));
+            // Order independence: same multiset of (choice set, probability).
+            let canon = |r: &gdlog::core::ChaseResult| {
+                let mut v: Vec<String> = r
+                    .outcomes
+                    .iter()
+                    .map(|o| format!("{}@{}", o.atr, o.probability))
+                    .collect();
+                v.sort();
+                v
+            };
+            prop_assert_eq!(canon(&first), canon(&last));
 
-        // Outcomes are pairwise distinct and terminal for the grounder.
-        for (i, o1) in first.outcomes.iter().enumerate() {
-            prop_assert!(grounder.is_terminal(&o1.atr));
-            for o2 in first.outcomes.iter().skip(i + 1) {
-                prop_assert!(o1.atr != o2.atr);
+            // Outcomes are pairwise distinct and terminal for the grounder.
+            for (i, o1) in first.outcomes.iter().enumerate() {
+                prop_assert!(grounder.is_terminal(&o1.atr));
+                for o2 in first.outcomes.iter().skip(i + 1) {
+                    prop_assert!(o1.atr != o2.atr);
+                }
             }
         }
     }
@@ -963,9 +986,8 @@ proptest! {
     /// the flat enumeration *exactly* — same `P(sms ≠ ∅)`, explored and
     /// residual mass, outcome/event counts, per-event masses, per-atom brave
     /// and cautious probabilities, cross-island conjunctions and the full
-    /// event listing (tie-normalized) — at every thread count of the sweep,
-    /// cold and with a warm memo cache (the warm re-solve must add no
-    /// misses). With two or more islands the analysis must actually factor.
+    /// event listing (tie-normalized) — at every thread count of the sweep.
+    /// With two or more islands the analysis must actually factor.
     #[test]
     fn factored_solve_equals_flat_on_planted_islands(
         islands in prop::collection::vec((any::<u8>(), 1u32..=9), 1..4),
@@ -979,7 +1001,7 @@ proptest! {
         let (program, db) = gdlog_parser::parse_program(&text)
             .map_err(|e| TestCaseError::fail(format!("planted program failed to parse: {e}\n{text}")))?;
 
-        // The flat oracle, solved once WITHOUT any memo cache.
+        // The flat oracle, solved once sequentially.
         let oracle = Pipeline::new(&program, &db).unwrap();
         let chase = oracle.chase().unwrap();
         let flat =
@@ -1003,70 +1025,59 @@ proptest! {
             let pipeline = Pipeline::new(&program, &db)
                 .unwrap()
                 .with_executor(Arc::new(Executor::new(threads)));
-            let cold = pipeline.solve_factored_with_analysis().unwrap().0;
-            let stats_after_cold = pipeline.stable_cache_stats();
-            let warm = pipeline.solve_factored_with_analysis().unwrap().0;
-            // Everything the warm run solves was memoized by the cold run.
-            prop_assert_eq!(
-                pipeline.stable_cache_stats().misses,
-                stats_after_cold.misses,
-                "warm factored re-solve missed the memo cache at {} threads",
-                threads
-            );
+            let solve = pipeline.solve_factored_with_analysis().unwrap().0;
 
             if islands.len() >= 2 {
-                prop_assert!(cold.is_factored(), "{} islands did not factor", islands.len());
-                prop_assert!(cold.factor_count() >= islands.len());
+                prop_assert!(solve.is_factored(), "{} islands did not factor", islands.len());
+                prop_assert!(solve.factor_count() >= islands.len());
             }
 
-            for solve in [&cold, &warm] {
-                prop_assert_eq!(solve.combined_outcomes(), flat.outcome_count() as u128);
-                prop_assert_eq!(solve.combined_events(), flat.event_count() as u128);
+            prop_assert_eq!(solve.combined_outcomes(), flat.outcome_count() as u128);
+            prop_assert_eq!(solve.combined_events(), flat.event_count() as u128);
+            prop_assert_eq!(
+                solve.has_stable_model_probability(),
+                flat.has_stable_model_probability()
+            );
+            prop_assert_eq!(solve.explored_mass(), flat.explored_mass());
+            prop_assert_eq!(solve.residual_mass(), flat.residual_mass());
+            prop_assert_eq!(solve.is_truncated(), flat.is_truncated());
+            prop_assert_eq!(
+                canon_events(&solve.events_by_mass_top(flat_events.len())),
+                flat_canon.clone(),
+                "event listings diverged at {} threads\n{}",
+                threads,
+                text.clone()
+            );
+            for (key, mass) in &flat_events {
+                prop_assert_eq!(&solve.event_probability(key), mass);
+            }
+            for atom in &probe {
                 prop_assert_eq!(
-                    solve.has_stable_model_probability(),
-                    flat.has_stable_model_probability()
-                );
-                prop_assert_eq!(solve.explored_mass(), flat.explored_mass());
-                prop_assert_eq!(solve.residual_mass(), flat.residual_mass());
-                prop_assert_eq!(solve.is_truncated(), flat.is_truncated());
-                prop_assert_eq!(
-                    canon_events(&solve.events_by_mass_top(flat_events.len())),
-                    flat_canon.clone(),
-                    "event listings diverged at {} threads\n{}",
-                    threads,
-                    text.clone()
-                );
-                for (key, mass) in &flat_events {
-                    prop_assert_eq!(&solve.event_probability(key), mass);
-                }
-                for atom in &probe {
-                    prop_assert_eq!(
-                        solve.brave_probability(atom),
-                        flat.brave_probability(atom),
-                        "brave P({}) diverged at {} threads",
-                        atom,
-                        threads
-                    );
-                    prop_assert_eq!(
-                        solve.cautious_probability(atom),
-                        flat.cautious_probability(atom),
-                        "cautious P({}) diverged at {} threads",
-                        atom,
-                        threads
-                    );
-                }
-                // Cross-island conjunctions exercise the per-factor
-                // grouping of `probability_*_all`.
-                let conj: Vec<GroundAtom> = probe.iter().take(3).cloned().collect();
-                prop_assert_eq!(
-                    solve.probability_brave_all(&conj),
-                    flat.probability_where(|k| conj.iter().all(|a| k.brave(a)))
+                    solve.brave_probability(atom),
+                    flat.brave_probability(atom),
+                    "brave P({}) diverged at {} threads",
+                    atom,
+                    threads
                 );
                 prop_assert_eq!(
-                    solve.probability_cautious_all(&conj),
-                    flat.probability_where(|k| conj.iter().all(|a| k.cautious(a)))
+                    solve.cautious_probability(atom),
+                    flat.cautious_probability(atom),
+                    "cautious P({}) diverged at {} threads",
+                    atom,
+                    threads
                 );
             }
+            // Cross-island conjunctions exercise the per-factor
+            // grouping of `probability_*_all`.
+            let conj: Vec<GroundAtom> = probe.iter().take(3).cloned().collect();
+            prop_assert_eq!(
+                solve.probability_brave_all(&conj),
+                flat.probability_where(|k| conj.iter().all(|a| k.brave(a)))
+            );
+            prop_assert_eq!(
+                solve.probability_cautious_all(&conj),
+                flat.probability_where(|k| conj.iter().all(|a| k.cautious(a)))
+            );
         }
     }
 }
@@ -1155,8 +1166,7 @@ fn single_component_programs_fall_back_to_the_flat_path() {
 
 /// Satellite check for the parallel stable-model back-end: on every workload
 /// of the stable benchmark suite, `OutputSpace::from_chase` must produce
-/// bit-identical events and masses at 1, 2 and 8 threads, with and without a
-/// (shared, progressively warming) memo cache.
+/// bit-identical events and masses at 1, 2 and 8 threads.
 #[test]
 fn from_chase_events_bit_identical_across_thread_counts() {
     let limits = StableModelLimits::default();
@@ -1168,24 +1178,18 @@ fn from_chase_events_bit_identical_across_thread_counts() {
         )
         .unwrap();
         let baseline = OutputSpace::from_chase(chase.clone(), &limits, &Ctx::sequential()).unwrap();
-        let cache = Arc::new(ModelSetCache::new());
         for threads in [1usize, 2, 8] {
-            for cached in [false, true] {
-                let mut ctx = Ctx::new(Arc::new(Executor::new(threads)));
-                if cached {
-                    ctx = ctx.with_cache(cache.clone());
-                }
-                let space = OutputSpace::from_chase(chase.clone(), &limits, &ctx).unwrap();
-                assert_eq!(
-                    space.events_by_mass(),
-                    baseline.events_by_mass(),
-                    "{} events diverged at {threads} threads (cached: {cached})",
-                    workload.name
-                );
-                assert_eq!(space.residual_mass(), baseline.residual_mass());
-                for (got, want) in space.outcomes().iter().zip(baseline.outcomes()) {
-                    assert_eq!(got.1, want.1, "{} per-outcome keys", workload.name);
-                }
+            let ctx = Ctx::new(Arc::new(Executor::new(threads)));
+            let space = OutputSpace::from_chase(chase.clone(), &limits, &ctx).unwrap();
+            assert_eq!(
+                space.events_by_mass(),
+                baseline.events_by_mass(),
+                "{} events diverged at {threads} threads",
+                workload.name
+            );
+            assert_eq!(space.residual_mass(), baseline.residual_mass());
+            for (got, want) in space.outcomes().iter().zip(baseline.outcomes()) {
+                assert_eq!(got.1, want.1, "{} per-outcome keys", workload.name);
             }
         }
     }
